@@ -15,7 +15,7 @@ import sys
 from . import oracle
 from .dynamic_lis import ThresholdStructure
 from .string_compare import Comparator
-from .tandem import compute_ltss, ltss_stats, replay_split
+from .tandem import compute_ltss, replay_split
 
 
 class InputError(Exception):
@@ -108,14 +108,13 @@ def cmd_ltss(args):
             occ2 = [s for _, s in pairs]
             tandems.append(("".join(f[p - 1] for p in occ1), occ1, occ2))
     if args.format == "json":
-        st = ltss_stats(f)
         payload = {
             "length": res.length,
             "split": res.split_index,
             "witness": res.witness,
             "occ1": res.first_occurrence,
             "occ2": res.second_occurrence,
-            "stats": _stats_payload(st),
+            "stats": _stats_payload(res.stats),
         }
         if tandems:
             payload["tandems"] = [
@@ -130,7 +129,7 @@ def cmd_ltss(args):
     for w, a, b in tandems:
         print("tandem=%s occ1=%s occ2=%s" % (w, _csv(a), _csv(b)))
     if args.stats:
-        _print_stats_text(ltss_stats(f))
+        _print_stats_text(res.stats)
     return 0
 
 
@@ -139,7 +138,9 @@ def cmd_lcss(args):
     for ch in args.p:
         comp.append_to_p(ch)
     length = comp.lcss_length
-    pairs = comp.witness() if length else []
+    # one enumeration per request; its first item is the reported witness
+    found = comp.witnesses(limit=args.enumerate or 1)
+    pairs = next(found) if length else []
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
         ok = ref == length and all(
@@ -152,9 +153,7 @@ def cmd_lcss(args):
         print(length)
         return 0
     witness = "".join(args.p[i - 1] for i, _ in pairs)
-    alternatives = []
-    if args.enumerate and length:
-        alternatives = list(comp.witnesses(limit=args.enumerate))
+    alternatives = [pairs] + list(found) if args.enumerate and length else []
     if args.format == "json":
         payload = {
             "length": length,

@@ -161,9 +161,8 @@ class ThresholdStructure:
         mins[k - 2] = lists[k - 2].min()
         if self._lam and mins[self._lam - 1] == INF:
             self._lam -= 1
-            dead = lists.pop()
+            lists.pop()
             mins.pop()
-            assert not dead.entries
 
     def all_lis(self, limit=None):
         """Yield every longest strictly increasing subsequence as a tuple

@@ -87,8 +87,9 @@ class OrderedList:
         return self.entries[-1]
 
     def insert(self, value, position):
-        """Add (value, position); position must exceed every position
-        already stored anywhere.  Equal keys collapse into one entry."""
+        """Add (value, position) at the tail; value must not exceed the
+        current minimum and position must exceed every position already
+        stored anywhere.  An equal key collapses into the tail entry."""
         entries = self.entries
         self.ops.steps += 1
         if not entries or value < entries[-1].value:
@@ -96,13 +97,8 @@ class OrderedList:
         elif value == entries[-1].value:
             entries[-1].positions.append(position)
         else:
-            # Off the hot path: the threshold structure only ever inserts
-            # at or below the current minimum.
-            i = self._first_leq(value)
-            if entries[i].value == value:
-                entries[i].positions.append(position)
-            else:
-                entries.insert(i, LisEntry(value, position))
+            raise StructureError(
+                "insert above the minimum: %r > %r" % (value, entries[-1].value))
 
     def remove_min(self):
         """Delete the minimum entry outright, all stored positions with it."""
@@ -157,8 +153,9 @@ class OrderedList:
 
     def concatenate(self, detached):
         """Absorb a detached list whose keys are all <= ours; an equal
-        boundary key merges its positions into our tail entry.  The
-        detached list is consumed."""
+        boundary key merges its positions into our tail entry, and every
+        detached position of that key must follow ours.  The detached
+        list is consumed."""
         other = detached.entries
         if not other:
             return
@@ -171,12 +168,11 @@ class OrderedList:
                 raise StructureError(
                     "concatenate order violation: %r < %r" % (tail.value, head.value))
             if tail.value == head.value:
+                if tail.positions[-1] >= head.positions[0]:
+                    raise StructureError(
+                        "concatenate interleaves positions of key %r" % tail.value)
                 self.ops.steps += 1
-                if not head.positions or (tail.positions and
-                                          tail.positions[-1] < head.positions[0]):
-                    tail.positions.extend(head.positions)
-                else:
-                    tail.positions[:] = sorted(tail.positions + head.positions)
+                tail.positions.extend(head.positions)
                 other = other[1:]
         entries.extend(other)
         detached.entries = []

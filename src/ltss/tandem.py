@@ -8,7 +8,7 @@ and its two disjoint occurrences.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .string_compare import Comparator
 
@@ -17,12 +17,15 @@ from .string_compare import Comparator
 class LtssResult:
     """Best tandem: its length, the winning prefix length, the repeated
     subsequence, and the two occurrence position lists (1-based, the first
-    entirely at or before split_index, the second entirely after)."""
+    entirely at or before split_index, the second entirely after).  stats
+    holds the instrumentation of the scan that found it and takes no part
+    in equality."""
     length: int
     split_index: int
     witness: str
     first_occurrence: list
     second_occurrence: list
+    stats: "RunStats" = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -38,7 +41,8 @@ class RunStats:
 
 
 def _scan(f):
-    """Run the split scan; return (best_len, best_split, comparator)."""
+    """Run the split scan; return (best_len, best_split, RunStats)."""
+    start = time.perf_counter()
     comp = Comparator(f)
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
@@ -54,7 +58,17 @@ def _scan(f):
         if lam > best_len:
             best_len = lam
             best_split = t
-    return best_len, best_split, comp
+    elapsed = time.perf_counter() - start
+    st = ts.stats
+    return best_len, best_split, RunStats(
+        n=len(f),
+        matches=st.append_calls,
+        lambda_max=best_len,
+        extract_mins=st.extract_min_calls,
+        transfers=dict(st.transfers_out),
+        tree_ops=st.tree_ops(),
+        elapsed=elapsed,
+    )
 
 def replay_split(f, split):
     """Fresh comparator advanced to the given split of f."""
@@ -65,28 +79,18 @@ def replay_split(f, split):
     return comp
 
 def compute_ltss(f):
-    """Longest subsequence occurring twice without overlap in f."""
-    best_len, best_split, _ = _scan(f)
+    """Longest subsequence occurring twice without overlap in f, with the
+    scan's instrumentation attached as .stats."""
+    best_len, best_split, stats = _scan(f)
     if best_len == 0:
-        return LtssResult(0, 0, "", [], [])
+        return LtssResult(0, 0, "", [], [], stats)
     pairs = replay_split(f, best_split).witness()
     first = [p for p, _ in pairs]
     second = [s for _, s in pairs]
     witness = "".join(f[p - 1] for p in first)
-    return LtssResult(best_len, best_split, witness, first, second)
+    return LtssResult(best_len, best_split, witness, first, second, stats)
 
 def ltss_stats(f):
-    """Run the scan alone and report its instrumentation."""
-    start = time.perf_counter()
-    best_len, _, comp = _scan(f)
-    elapsed = time.perf_counter() - start
-    st = comp.ts.stats
-    return RunStats(
-        n=len(f),
-        matches=st.append_calls,
-        lambda_max=best_len,
-        extract_mins=st.extract_min_calls,
-        transfers=dict(st.transfers_out),
-        tree_ops=st.tree_ops(),
-        elapsed=elapsed,
-    )
+    """Run the scan alone and report its instrumentation; the same
+    RunStats that compute_ltss(f).stats carries."""
+    return _scan(f)[2]

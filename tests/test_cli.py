@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ltss import cli, oracle
+from ltss import cli, oracle, tandem
 
 GOLDEN = "AGCGAACGGGTA"
 
@@ -133,6 +133,64 @@ def test_ltss_stats_text(capsys, monkeypatch):
     assert "matches=17" in out
     assert "lambda_max=4" in out
     assert "time_ms=" in out
+
+
+GOLDEN_JSON = (
+    '{"length": 4, "split": 5, "witness": "AGGA", "occ1": [1, 2, 4, 5], '
+    '"occ2": [6, 9, 10, 12], "stats": {"matches": 17, "lambdaMax": 4, '
+    '"extractMins": 7, "transfers": [0, 8, 4, 1]}')
+GOLDEN_HEAD = ("length=4\nsplit=5\nwitness=AGGA\n"
+               "occ1=1,2,4,5\nocc2=6,9,10,12\n")
+GOLDEN_TANDEMS = [
+    ("AGGA", "1,2,4,5", "6,9,10,12"),
+    ("AGGA", "1,2,4,5", "6,8,10,12"),
+    ("ACGA", "1,3,4,5", "6,7,10,12"),
+    ("AGGA", "1,2,4,5", "6,8,9,12"),
+    ("ACGA", "1,3,4,5", "6,7,9,12"),
+    ("ACGA", "1,3,4,5", "6,7,8,12"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--format", "json"], GOLDEN_JSON + "}\n"),
+    (["--format", "json", "--enumerate", "3"],
+     GOLDEN_JSON + ', "tandems": ['
+     '{"witness": "AGGA", "occ1": [1, 2, 4, 5], "occ2": [6, 9, 10, 12]}, '
+     '{"witness": "AGGA", "occ1": [1, 2, 4, 5], "occ2": [6, 8, 10, 12]}, '
+     '{"witness": "ACGA", "occ1": [1, 3, 4, 5], "occ2": [6, 7, 10, 12]}]}\n'),
+    (["--enumerate", "10"], GOLDEN_HEAD + "".join(
+        "tandem=%s occ1=%s occ2=%s\n" % row for row in GOLDEN_TANDEMS)),
+    (["--stats"], GOLDEN_HEAD + "matches=17\nlambda_max=4\nextract_mins=7\n"
+                                "transfers=2:8,3:4,4:1\n"),
+])
+def test_ltss_output_bytes(argv, expected, capsys, monkeypatch):
+    assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
+    out = capsys.readouterr().out
+    # the wall time is the one line that may differ between runs
+    assert "".join(ln for ln in out.splitlines(keepends=True)
+                   if not ln.startswith("time_ms=")) == expected
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["--format", "json"], 2),                       # scan + witness replay
+    (["--stats"], 2),
+    (["--format", "json", "--enumerate", "3"], 3),   # + enumeration replay
+])
+def test_ltss_scans_once(argv, built, capsys, monkeypatch):
+    strings = []
+
+    class Counting(tandem.Comparator):
+        __slots__ = ()
+
+        def __init__(self, s):
+            strings.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(tandem, "Comparator", Counting)
+    assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
+    capsys.readouterr()
+    assert len(strings) == built
+    assert set(strings) == {GOLDEN}
 
 
 def test_ltss_fasta_file(capsys, tmp_path):

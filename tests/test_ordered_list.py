@@ -42,13 +42,15 @@ def test_insert_into_empty():
 
 
 def test_insert_interior_and_interior_duplicate():
-    # not used by the threshold structure, but part of the contract
+    # the threshold structure only inserts at or below the minimum, so a
+    # key above it, new or already stored, is a caller bug
     lst = build_ordered([8, 5, 2])
-    lst.insert(6, 4)
-    assert lst.keys() == [8, 6, 5, 2]
-    lst.insert(5, 5)
-    assert lst.keys() == [8, 6, 5, 2]
-    assert lst.entries[2].positions == [2, 5]
+    with pytest.raises(StructureError):
+        lst.insert(6, 4)
+    with pytest.raises(StructureError):
+        lst.insert(5, 5)
+    assert lst.keys() == [8, 5, 2]
+    assert [e.positions for e in lst.entries] == [[1], [2], [3]]
 
 
 def test_remove_min_drops_all_positions():
@@ -119,6 +121,18 @@ def test_concatenate_merges_equal_boundary():
     a.concatenate(b)
     assert a.keys() == [7, 5]
     assert a.entries[-1].positions == [5, 9]
+
+
+def test_concatenate_interleaved_positions_raise():
+    # equal boundary keys merge only when every detached position follows
+    # every stored one, as it does between adjacent levels of the structure
+    a = OrderedList()
+    a.insert(7, 1)
+    a.insert(5, 9)
+    b = OrderedList()
+    b.insert(5, 4)
+    with pytest.raises(StructureError):
+        a.concatenate(b)
 
 
 def test_concatenate_order_violation():

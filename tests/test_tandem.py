@@ -1,6 +1,7 @@
 """End-to-end tandem search tests: the golden example, degenerate inputs,
 exhaustive small-alphabet agreement with the cubic oracle, and stats."""
 
+import dataclasses
 import itertools
 import random
 
@@ -87,3 +88,14 @@ def test_stats_all_distinct():
     assert st.lambda_max == 0
     assert st.extract_mins == 0
     assert st.transfers == {}
+
+
+def test_result_carries_its_scan_stats():
+    rng = random.Random(11)
+    strings = ["", "ABCDEFG", GOLDEN] + [
+        "".join(rng.choice("ACGT") for _ in range(rng.randint(20, 120)))
+        for _ in range(5)]
+    for f in strings:
+        carried = dataclasses.replace(compute_ltss(f).stats, elapsed=0.0)
+        assert carried == dataclasses.replace(ltss_stats(f), elapsed=0.0)
+        assert carried.lambda_max == compute_ltss(f).length
