@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import oracle
 from .dynamic_lis import ThresholdStructure
 from .string_compare import Comparator
-from .tandem import compute_ltss, replay_split
+from .tandem import compute_ltss, split_tandems
 
 
 class InputError(Exception):
@@ -102,11 +103,7 @@ def cmd_ltss(args):
         return 0
     tandems = []
     if args.enumerate and res.length:
-        comp = replay_split(f, res.split_index)
-        for pairs in comp.witnesses(limit=args.enumerate):
-            occ1 = [p for p, _ in pairs]
-            occ2 = [s for _, s in pairs]
-            tandems.append(("".join(f[p - 1] for p in occ1), occ1, occ2))
+        tandems = list(islice(split_tandems(f, res.split_index), args.enumerate))
     if args.format == "json":
         payload = {
             "length": res.length,

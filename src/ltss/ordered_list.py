@@ -62,9 +62,6 @@ class OrderedList:
         self.entries = []
         self.ops = ops if ops is not None else OpCounter()
 
-    def __len__(self):
-        return len(self.entries)
-
     def __repr__(self):
         return "OrderedList[%s]" % ", ".join(repr(e) for e in self.entries)
 

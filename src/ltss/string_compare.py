@@ -31,10 +31,6 @@ class MatchIndex:
         self.by_letter = by_letter
         self._live = {letter: len(ps) for letter, ps in by_letter.items()}
 
-    def positions(self, letter):
-        """All match positions of letter, largest first."""
-        return self.by_letter.get(letter, ())
-
     def live_positions(self, letter, front):
         """Match positions still inside the suffix (> front), largest
         first.  Trims the consumed tail lazily; front must not shrink."""

@@ -3,8 +3,8 @@
 Scan every prefix/suffix split of the input: at step t the comparator
 drops letter t off the suffix and appends it to the prefix, so the tracked
 length is the common-subsequence length of F[1..t] against F[t+1..n].  The
-best split (earliest on ties) is then replayed once to recover a witness
-and its two disjoint occurrences.
+best split (earliest on ties) is then rebuilt by appends alone to recover
+a witness and its two disjoint occurrences.
 """
 
 import time
@@ -71,26 +71,36 @@ def _scan(f):
     )
 
 def replay_split(f, split):
-    """Fresh comparator advanced to the given split of f."""
+    """Fresh comparator holding f[:split] against f[split:], built by
+    appends alone: the front reaches split while the structure is empty,
+    so no drop extracts anything.  The state (keys, positions up to rank)
+    depends only on the survivors' sequence, so it equals the scan's."""
     comp = Comparator(f)
-    for t in range(1, split + 1):
+    for _ in range(split):
         comp.drop_front_of_s()
-        comp.append_to_p(f[t - 1])
+    for letter in f[:split]:
+        comp.append_to_p(letter)
     return comp
 
+def split_tandems(f, split):
+    """Yield (witness, first_occurrence, second_occurrence) for every
+    maximal tandem at the given split, in enumeration order."""
+    for pairs in replay_split(f, split).witnesses():
+        first = [p for p, _ in pairs]
+        yield "".join(f[p - 1] for p in first), first, [s for _, s in pairs]
+
 def compute_ltss(f):
-    """Longest subsequence occurring twice without overlap in f, with the
-    scan's instrumentation attached as .stats."""
+    """Longest subsequence occurring twice without overlap in the str f,
+    with the scan's instrumentation attached as .stats."""
+    if not isinstance(f, str):
+        raise TypeError("compute_ltss expects a str, got %s" % type(f).__name__)
     best_len, best_split, stats = _scan(f)
     if best_len == 0:
         return LtssResult(0, 0, "", [], [], stats)
-    pairs = replay_split(f, best_split).witness()
-    first = [p for p, _ in pairs]
-    second = [s for _, s in pairs]
-    witness = "".join(f[p - 1] for p in first)
+    witness, first, second = next(split_tandems(f, best_split))
     return LtssResult(best_len, best_split, witness, first, second, stats)
 
 def ltss_stats(f):
-    """Run the scan alone and report its instrumentation; the same
-    RunStats that compute_ltss(f).stats carries."""
+    """Run the scan alone and report its instrumentation, the RunStats
+    that compute_ltss(f).stats carries; f may be any hashable sequence."""
     return _scan(f)[2]

@@ -7,6 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from ltss.dynamic_lis import ThresholdStructure
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
@@ -247,3 +249,75 @@ def test_transfer_totals_stay_within_budget():
         for level, moved in ts.stats.transfers_out.items():
             assert level >= 2
             assert moved <= extracts * lam_max
+
+
+def renumbered(seqs, rank):
+    return [tuple((v, rank[p]) for v, p in seq) for seq in seqs]
+
+
+class ThresholdMachine(RuleBasedStateMachine):
+    """Interleaved appends, decreasing bursts, extract-mins and
+    enumerations against a shadow list of live (value, position) pairs.
+    After every step the state must equal a fresh append build of the
+    survivors, positions compared by rank: witness recovery rebuilds a
+    split that way instead of replaying the scan."""
+
+    def __init__(self):
+        super().__init__()
+        self.ts = ThresholdStructure()
+        self.shadow = []
+
+    def _fresh(self):
+        return build_structure([v for v, _ in self.shadow])
+
+    def _rank(self):
+        return {p: i for i, (_, p) in enumerate(self.shadow, 1)}
+
+    @rule(value=st.integers(1, 12))
+    def append(self, value):
+        self.ts.append(value)
+        self.shadow.append((value, self.ts.position_counter))
+
+    @rule(values=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    def append_batch(self, values):
+        for v in sorted(set(values), reverse=True):
+            self.ts.append_batch(v)
+            self.shadow.append((v, self.ts.position_counter))
+
+    @precondition(lambda self: self.shadow)
+    @rule()
+    def extract_min(self):
+        self.ts.extract_min()
+        low = min(v for v, _ in self.shadow)
+        self.shadow = [(v, p) for v, p in self.shadow if v != low]
+
+    @precondition(lambda self: self.shadow)
+    @rule()
+    def all_lis(self):
+        got = list(self.ts.all_lis(limit=500))
+        live = set(self.shadow)
+        for seq in got:
+            assert len(seq) == self.ts.lis_length
+            assert set(seq) <= live
+            assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(seq, seq[1:]))
+        rank = self._rank()
+        assert renumbered(got, rank) == list(self._fresh().all_lis(limit=500))
+        if len(self.shadow) <= 20:
+            assert {tuple(rank[p] for _, p in seq) for seq in got} == \
+                enumerate_lis_naive([v for v, _ in self.shadow])
+
+    @invariant()
+    def matches_shadow(self):
+        ts = self.ts
+        check_invariants(ts)
+        assert ts.size == len(self.shadow)
+        assert ts.lis_length == patience_lis([v for v, _ in self.shadow])
+        rank = self._rank()
+        state = [[(v, tuple(rank[p] for p in ps)) for v, ps in level]
+                 for level in ts.snapshot()]
+        assert state == self._fresh().snapshot()
+
+
+ThresholdMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=150, stateful_step_count=40, deadline=None)
+test_threshold_machine = ThresholdMachine.TestCase

@@ -18,11 +18,11 @@ def advance(comp, letters):
 
 def test_match_index_golden():
     idx = MatchIndex(S_GOLDEN)
-    assert idx.positions("A") == [8, 2, 1]
-    assert idx.positions("C") == [3]
-    assert idx.positions("G") == [6, 5, 4]
-    assert idx.positions("T") == [7]
-    assert idx.positions("X") == ()
+    assert idx.live_positions("A", 0) == [8, 2, 1]
+    assert idx.live_positions("C", 0) == [3]
+    assert idx.live_positions("G", 0) == [6, 5, 4]
+    assert idx.live_positions("T", 0) == [7]
+    assert idx.live_positions("X", 0) == ()
 
 
 def test_match_index_live_cursor():

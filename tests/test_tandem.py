@@ -1,12 +1,19 @@
 """End-to-end tandem search tests: the golden example, degenerate inputs,
-exhaustive small-alphabet agreement with the cubic oracle, and stats."""
+exhaustive small-alphabet agreement with the cubic oracle, witness
+recovery against the scan's own interleaving, the input contract, and
+stats."""
 
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
+import pytest
+
+from ltss import tandem
 from ltss.oracle import naive_ltss, validate_tandem
-from ltss.tandem import compute_ltss, ltss_stats, replay_split
+from ltss.string_compare import Comparator
+from ltss.tandem import compute_ltss, ltss_stats, replay_split, split_tandems
 
 GOLDEN = "AGCGAACGGGTA"
 
@@ -68,6 +75,93 @@ def test_replay_split_reaches_scan_state():
     assert comp.lcss_length == 4
     assert comp.front == 5
     assert comp.p_len == 5
+
+
+def scan_replay(f, split):
+    """Reference: the scan's interleaved drops and appends up to split,
+    extract-mins included."""
+    comp = Comparator(f)
+    for t in range(1, split + 1):
+        comp.drop_front_of_s()
+        comp.append_to_p(f[t - 1])
+    return comp
+
+
+def witness_list(comp, limit):
+    return list(comp.witnesses(limit)) if comp.lcss_length else []
+
+
+def check_replay(f, split, limit):
+    comp = replay_split(f, split)
+    ref = scan_replay(f, split)
+    assert (comp.front, comp.p_len) == (ref.front, ref.p_len) == (split, split)
+    assert comp.lcss_length == ref.lcss_length
+    assert witness_list(comp, limit) == witness_list(ref, limit)
+    stats = comp.ts.stats
+    assert stats.extract_min_calls == 0
+    before, after = Counter(f[:split]), Counter(f[split:])
+    assert stats.append_calls == sum(before[c] * after[c] for c in before)
+
+
+def test_replay_split_matches_scan_interleaving_exhaustive():
+    for n in range(1, 11):
+        for bits in itertools.product("AB", repeat=n):
+            f = "".join(bits)
+            for split in range(n + 1):
+                check_replay(f, split, 2000)
+
+
+def test_replay_split_matches_scan_interleaving_random():
+    rng = random.Random(17)
+    strings = []
+    for sigma in ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY"):
+        for _ in range(2):
+            n = rng.randint(2, 300)
+            strings.append("".join(rng.choice(sigma) for _ in range(n)))
+            half = "".join(rng.choice(sigma) for _ in range(n // 2))
+            strings.append(half + half[::-1])
+            strings.append(half + "".join(
+                rng.choice(sigma) if rng.random() < 0.1 else ch for ch in half))
+    for f in strings:
+        splits = {compute_ltss(f).split_index}
+        splits.update(rng.randint(1, len(f) - 1) for _ in range(2))
+        for split in splits:
+            check_replay(f, split, 500)
+
+
+def test_split_tandems_follow_scan_enumeration():
+    rng = random.Random(29)
+    for _ in range(20):
+        f = "".join(rng.choice("ACGT") for _ in range(rng.randint(2, 120)))
+        res = compute_ltss(f)
+        if not res.length:
+            continue
+        expected = []
+        for pairs in scan_replay(f, res.split_index).witnesses(limit=300):
+            first = [p for p, _ in pairs]
+            expected.append(("".join(f[p - 1] for p in first), first,
+                             [s for _, s in pairs]))
+        got = list(itertools.islice(split_tandems(f, res.split_index), 300))
+        assert got == expected
+        assert got[0] == (res.witness, res.first_occurrence,
+                          res.second_occurrence)
+
+
+def test_compute_ltss_accepts_str_only(monkeypatch):
+    def no_scan(f):
+        raise AssertionError("scanned a rejected input")
+    monkeypatch.setattr(tandem, "_scan", no_scan)
+    # a list of multi-letter tokens would join into a witness that is not
+    # a subsequence of anything; a tuple of ints cannot be joined at all
+    for f in (["ab", "cd", "ab", "cd"], (1, 2, 1, 2)):
+        with pytest.raises(TypeError):
+            compute_ltss(f)
+
+
+def test_ltss_stats_scans_any_hashable_sequence():
+    st = ltss_stats((1, 2, 1, 2))
+    assert (st.n, st.matches, st.lambda_max) == (4, 2, 2)
+    assert ltss_stats(["ab", "cd", "ab", "cd"]).lambda_max == 2
 
 
 def test_stats_golden():
