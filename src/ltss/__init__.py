@@ -2,12 +2,11 @@
 occurs twice in a string without the two occurrences overlapping.
 
 The search runs one comparator scan over every prefix/suffix split,
-backed by a dynamic LIS structure that supports appends, batched appends,
-extract-min and full enumeration of the optimal subsequences.
+backed by a dynamic LIS structure that supports appends, extends by a run
+of values, extract-min and full enumeration of the optimal subsequences.
 """
 
-from .dynamic_lis import Counters, ThresholdStructure
-from .ordered_list import INF, LisEntry, OpCounter, OrderedList, StructureError
+from .dynamic_lis import INF, Counters, ThresholdStructure
 from .string_compare import Comparator, MatchIndex
 from .tandem import LtssResult, RunStats, compute_ltss, ltss_stats, replay_split
 
@@ -15,13 +14,9 @@ __all__ = [
     "Comparator",
     "Counters",
     "INF",
-    "LisEntry",
     "LtssResult",
     "MatchIndex",
-    "OpCounter",
-    "OrderedList",
     "RunStats",
-    "StructureError",
     "ThresholdStructure",
     "compute_ltss",
     "ltss_stats",

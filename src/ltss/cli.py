@@ -182,8 +182,7 @@ def cmd_lis(args):
     if any(v < 1 for v in args.values):
         raise InputError("lis values must be positive integers")
     ts = ThresholdStructure()
-    for v in args.values:
-        ts.append(v)
+    ts.extend(args.values)
     length = ts.lis_length
     if args.verify:
         ref = oracle.patience_lis(args.values)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the fast path: quadratic DP for common
 subsequences, two independent LIS lengths (quadratic and patience), an
-exhaustive LIS enumerator, a cubic split scan for tandems, the classical
+exhaustive LIS enumerator, a cubic split scan for tandems, a bit-parallel
+split scan for tandems thousands of letters long, the classical
 stack-based threshold construction, and a tandem witness checker.  The
 exhaustive routines refuse inputs past their guards instead of silently
 taking forever.
@@ -139,6 +140,30 @@ def naive_ltss(f):
         val = lcss_length(f[:split], f[split:])
         if val > best_len:
             best_len = val
+            best_split = split
+    return best_len, best_split
+
+
+def bitparallel_ltss(f):
+    """(length, split) as naive_ltss returns it, for any length: the
+    Allison-Dix / Hyyro bit-vector LCS on Python ints, run once per split.
+    Bit j of a row is cleared exactly where the DP row steps up at suffix
+    column j+1, so a split's length is the count of cleared bits."""
+    n = len(f)
+    masks = {}
+    for j, ch in enumerate(f):
+        masks[ch] = masks.get(ch, 0) | 1 << j
+    best_len = 0
+    best_split = 0
+    for split in range(1, n):
+        full = (1 << (n - split)) - 1
+        row = full
+        for ch in f[:split]:
+            hits = row & (masks[ch] >> split)
+            row = ((row + hits) | (row - hits)) & full
+        length = n - split - row.bit_count()
+        if length > best_len:
+            best_len = length
             best_split = split
     return best_len, best_split
 

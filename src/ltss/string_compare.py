@@ -70,9 +70,7 @@ class Comparator:
         if live:
             ts = self.ts
             start = ts.position_counter + 1
-            append_batch = ts.append_batch
-            for p in live:
-                append_batch(p)
+            ts.extend(live)
             self._batches.append((self.p_len, start, ts.position_counter))
 
     def drop_front_of_s(self):

@@ -1,27 +1,18 @@
 """Shared test plumbing: structure builders and randomized trace drivers."""
 
 from ltss.dynamic_lis import ThresholdStructure
-from ltss.ordered_list import OrderedList
 
 WORKED_STREAM = [8, 2, 1, 6, 5, 4, 3, 6, 5, 4]
 
 
-def build_ordered(values, start=1):
-    """OrderedList from values inserted in the given order, positions
-    assigned 1, 2, 3, ... (or from start)."""
-    lst = OrderedList()
-    pos = start
-    for v in values:
-        lst.insert(v, pos)
-        pos += 1
-    return lst
-
-
 def build_structure(values, batch=False):
+    """Structure fed values one append at a time, or by one extend."""
     ts = ThresholdStructure()
-    feed = ts.append_batch if batch else ts.append
-    for v in values:
-        feed(v)
+    if batch:
+        ts.extend(values)
+    else:
+        for v in values:
+            ts.append(v)
     return ts
 
 

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from ltss.dynamic_lis import ThresholdStructure
+from ltss.dynamic_lis import INF, ThresholdStructure
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
                          threshold_stacks)
-from ltss.ordered_list import INF
 
 from helpers import WORKED_STREAM, build_structure, drop_min, random_ops
 
@@ -140,29 +139,36 @@ def test_append_batch_matches_append(values):
 
 
 def test_append_batch_value_equal_to_lower_tail():
-    # the batch cursor sits above a tail equal to the incoming value; the
-    # value must still collapse into that tail, not start a new entry
+    # the run falls from 6 back to 5, a value equal to the level-1 tail;
+    # it must still collapse into that tail, not start a new entry
     plain = build_structure([7, 5, 6, 5])
     batched = build_structure([7, 5, 6, 5], batch=True)
     assert plain.key_lists() == [[7, 5], [6]]
     assert batched.snapshot() == plain.snapshot()
 
 
-def test_append_batch_cursor_survives_extracts():
+def test_extend_runs_survive_extracts():
+    # every run of appends between two extracts goes in as one extend
     rng = random.Random(7)
     for _ in range(50):
-        ops = random_ops(rng, rng.randint(1, 60), 9)
+        ops = random_ops(rng, rng.randint(1, 60), 9) + ["x"]
         plain = ThresholdStructure()
         batched = ThresholdStructure()
+        run = []
         for op in ops:
-            if op == "x":
-                if plain.size:
-                    plain.extract_min()
-                    batched.extract_min()
-            else:
+            if op != "x":
                 plain.append(op)
-                batched.append_batch(op)
+                run.append(op)
+                continue
+            batched.extend(run)
+            run = []
+            assert batched.key_lists() == plain.key_lists()
             assert batched.snapshot() == plain.snapshot()
+            if plain.size:
+                plain.extract_min()
+                batched.extract_min()
+                assert batched.key_lists() == plain.key_lists()
+                assert batched.size == plain.size
 
 
 def test_lis_length_examples():
@@ -241,7 +247,7 @@ def test_transfer_totals_stay_within_budget():
         ts = ThresholdStructure()
         lam_max = 0
         for _ in range(rng.randint(1, 150)):
-            ts.append_batch(rng.randint(1, 40))
+            ts.append(rng.randint(1, 40))
             lam_max = max(lam_max, ts.lis_length)
         while ts.size:
             ts.extract_min()
@@ -256,11 +262,13 @@ def renumbered(seqs, rank):
 
 
 class ThresholdMachine(RuleBasedStateMachine):
-    """Interleaved appends, decreasing bursts, extract-mins and
-    enumerations against a shadow list of live (value, position) pairs.
-    After every step the state must equal a fresh append build of the
-    survivors, positions compared by rank: witness recovery rebuilds a
-    split that way instead of replaying the scan."""
+    """Interleaved appends, decreasing and unsorted extends, extract-mins
+    and enumerations against a shadow list of live (value, position)
+    pairs.  snapshot() rebuilds the positional levels from the append log,
+    so after every step its keys must equal the dynamic levels, and it
+    must equal a fresh append build of the survivors, positions compared
+    by rank: witness recovery rebuilds a split that way instead of
+    replaying the scan."""
 
     def __init__(self):
         super().__init__()
@@ -278,11 +286,18 @@ class ThresholdMachine(RuleBasedStateMachine):
         self.ts.append(value)
         self.shadow.append((value, self.ts.position_counter))
 
+    def _extend(self, values):
+        start = self.ts.position_counter
+        self.ts.extend(values)
+        self.shadow.extend((v, start + i) for i, v in enumerate(values, 1))
+
     @rule(values=st.lists(st.integers(1, 12), min_size=1, max_size=6))
-    def append_batch(self, values):
-        for v in sorted(set(values), reverse=True):
-            self.ts.append_batch(v)
-            self.shadow.append((v, self.ts.position_counter))
+    def extend_decreasing(self, values):
+        self._extend(sorted(set(values), reverse=True))
+
+    @rule(values=st.lists(st.integers(1, 12), max_size=8))
+    def extend(self, values):
+        self._extend(values)
 
     @precondition(lambda self: self.shadow)
     @rule()
@@ -312,9 +327,11 @@ class ThresholdMachine(RuleBasedStateMachine):
         check_invariants(ts)
         assert ts.size == len(self.shadow)
         assert ts.lis_length == patience_lis([v for v, _ in self.shadow])
+        snap = ts.snapshot()
+        assert [[v for v, _ in level] for level in snap] == ts.key_lists()
         rank = self._rank()
         state = [[(v, tuple(rank[p] for p in ps)) for v, ps in level]
-                 for level in ts.snapshot()]
+                 for level in snap]
         assert state == self._fresh().snapshot()
 
 

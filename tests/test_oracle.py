@@ -1,13 +1,17 @@
 """Checks for the brute-force references themselves: table goldens, hand
 cases, and cross-agreement between the independent implementations."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.oracle import (dp_lcss, dp_lcss_witness, enumerate_lis_naive,
-                         lcss_length, naive_lis, naive_ltss, patience_lis,
-                         threshold_stacks, validate_tandem)
+from ltss.oracle import (bitparallel_ltss, dp_lcss, dp_lcss_witness,
+                         enumerate_lis_naive, lcss_length, naive_lis,
+                         naive_ltss, patience_lis, threshold_stacks,
+                         validate_tandem)
 from ltss.tandem import LtssResult
 
 from helpers import WORKED_STREAM
@@ -92,6 +96,18 @@ def test_naive_ltss_examples():
 def test_naive_ltss_guard():
     with pytest.raises(ValueError):
         naive_ltss("A" * 201)
+
+
+def test_bitparallel_ltss_agrees_with_naive_ltss():
+    for n in range(9):
+        for letters in itertools.product("AB", repeat=n):
+            f = "".join(letters)
+            assert bitparallel_ltss(f) == naive_ltss(f), f
+    rng = random.Random(13)
+    for _ in range(300):
+        sigma = rng.choice(["AB", "ACGT", "ABCDEFGHIJ"])
+        f = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 60)))
+        assert bitparallel_ltss(f) == naive_ltss(f), f
 
 
 def test_validate_tandem_golden():

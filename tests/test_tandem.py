@@ -1,9 +1,10 @@
 """End-to-end tandem search tests: the golden example, degenerate inputs,
-exhaustive small-alphabet agreement with the cubic oracle, witness
-recovery against the scan's own interleaving, the input contract, and
-stats."""
+exhaustive small-alphabet agreement with the cubic oracle, agreement with
+the bit-parallel oracle at thousands of letters, witness recovery against
+the scan's own interleaving, the input contract, and stats."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from collections import Counter
 import pytest
 
 from ltss import tandem
-from ltss.oracle import naive_ltss, validate_tandem
+from ltss.oracle import bitparallel_ltss, naive_ltss, validate_tandem
 from ltss.string_compare import Comparator
 from ltss.tandem import compute_ltss, ltss_stats, replay_split, split_tandems
 
@@ -68,6 +69,33 @@ def test_random_medium_strings():
                             "ABCDEFGHIJKLMNOPQRSTUVWXYZ"])
         n = rng.randint(1, 80)
         check_against_oracle("".join(rng.choice(sigma) for _ in range(n)))
+
+
+def uniform(rng, n, alphabet):
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+def mutate(rng, text, rate, alphabet):
+    """Substitute each letter with probability rate by a different one."""
+    return "".join(rng.choice(alphabet.replace(ch, ""))
+                   if rng.random() < rate else ch for ch in text)
+
+
+def test_large_strings_against_bitparallel_oracle():
+    rng = random.Random(41)
+    half = uniform(rng, 500, "ACGT")
+    strings = [
+        uniform(rng, 1000, "AB"),
+        uniform(rng, 1200, "ACGT"),
+        uniform(rng, 1500, "ABCDEFGHIJKLMNOPQRSTUVWXYZ"),
+        "A" * 1000,
+        mutate(rng, "ACGT" * 300, 0.1, "ACGT"),
+        half + half[::-1],
+    ]
+    for f in strings:
+        res = compute_ltss(f)
+        assert (res.length, res.split_index) == bitparallel_ltss(f)
+        assert validate_tandem(f, res)
 
 
 def test_replay_split_reaches_scan_state():
@@ -193,3 +221,46 @@ def test_result_carries_its_scan_stats():
         carried = dataclasses.replace(compute_ltss(f).stats, elapsed=0.0)
         assert carried == dataclasses.replace(ltss_stats(f), elapsed=0.0)
         assert carried.lambda_max == compute_ltss(f).length
+
+
+def benchmark_shapes():
+    """The first string of every shape in the benchmark corpus at seed 0,
+    built the way perfbench/corpus.py builds them."""
+    dna, amino = "ACGT", "ACDEFGHIKLMNPQRSTVWY"
+    rng = random.Random("dna-scan/0")
+    scan = [uniform(rng, 600, dna) for _ in range(10)]
+    x = uniform(rng, 300, dna)
+    near = x + mutate(rng, x, 0.05, dna)
+    protein = uniform(random.Random("protein-cli/0"), 800, amino)
+    rng = random.Random("enumerate/0")
+    spread = uniform(rng, 400, dna)
+    x = uniform(rng, 200, dna)
+    periodic = mutate(rng, dna * 100, 0.15, dna)
+    return {"dna-uniform": scan[0], "dna-near-tandem": near,
+            "dna-single-letter": "A" * 600, "protein-uniform": protein,
+            "enumerate-uniform": spread, "enumerate-palindrome": x + x[::-1],
+            "enumerate-periodic": periodic}
+
+
+# (matches, lambda_max, extract_mins, entries moved, first 16 hex digits of
+# the sha256 of the sorted transfers items) per shape.  The --stats and JSON
+# payloads print these counters, so a change to the structure's internals
+# must leave every one of them as it is.
+SHAPE_COUNTERS = {
+    "dna-uniform": (45053, 195, 595, 1036756, "ddfb7a132a1ef640"),
+    "dna-near-tandem": (44863, 282, 595, 965027, "25e8ff83863dc56f"),
+    "dna-single-letter": (179700, 300, 598, 89401, "63c16ecd2b9ccfbb"),
+    "protein-uniform": (15990, 144, 779, 574071, "749fedd9f1e600c7"),
+    "enumerate-uniform": (19945, 126, 395, 306153, "35a2ce8256e8aef8"),
+    "enumerate-palindrome": (19900, 135, 395, 307487, "2aca8aa77e3c17f3"),
+    "enumerate-periodic": (19877, 158, 395, 276380, "53947571cecd0025"),
+}
+
+
+def test_benchmark_shape_counters_golden():
+    for name, f in benchmark_shapes().items():
+        st = ltss_stats(f)
+        transfers = sorted(st.transfers.items())
+        digest = hashlib.sha256(repr(transfers).encode()).hexdigest()[:16]
+        assert (st.matches, st.lambda_max, st.extract_mins,
+                sum(st.transfers.values()), digest) == SHAPE_COUNTERS[name], name
