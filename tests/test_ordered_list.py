@@ -1,12 +1,20 @@
-"""Unit and property tests for the ordered substrate."""
+"""Unit and property tests for one level of the threshold structure.
+
+A level is an ordered list of keys, largest first, with positions kept in
+the append log: appends land at a level's tail, an extract-min drops the
+level-1 tail with every position of its value, and the cascade cuts a
+level at a key bound and concatenates the cut onto the level below.
+Searches by key bound are the enumeration windows over the positional
+levels.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.ordered_list import INF, OrderedList, StructureError
+from ltss.dynamic_lis import INF, ThresholdStructure
 
-from helpers import build_ordered
+from helpers import build_structure
 
 
 def decreasing_keys():
@@ -14,167 +22,129 @@ def decreasing_keys():
                     unique=True).map(lambda xs: sorted(xs, reverse=True))
 
 
+def window(ts, bound, level=0):
+    """(value, position) pairs of a level from its largest key at most
+    bound on, in position order."""
+    levels = ts._positional_levels()
+    return list(ts._window(levels[level], bound, INF)) if levels else []
+
+
+def predecessor(ts, bound, level=0):
+    """First (value, position) of the largest key at most bound, or None."""
+    pairs = window(ts, bound, level)
+    return pairs[0] if pairs else None
+
+
 def test_min_examples():
-    assert build_ordered([8, 2, 1]).min() == 1
-    assert OrderedList().min() == INF
-    assert build_ordered([6, 5, 4, 3]).min() == 3
+    assert build_structure([8, 2, 1]).min_value() == 1
+    assert ThresholdStructure().min_value() == INF
+    ts = build_structure([6, 5, 4, 3])
+    assert ts.key_lists() == [[6, 5, 4, 3]]
+    assert ts.min_value() == 3
 
 
 def test_insert_at_tail():
-    lst = build_ordered([8])
-    lst.insert(2, 2)
-    assert lst.keys() == [8, 2]
-    assert lst.size == 2
+    ts = build_structure([8])
+    ts.append(2)
+    assert ts.key_lists() == [[8, 2]]
+    assert ts.size == 2
 
 
 def test_insert_duplicate_merges_positions():
-    lst = build_ordered([8, 2])
-    lst.insert(2, 12)
-    assert lst.keys() == [8, 2]
-    assert lst.entries[-1].positions == [2, 12]
+    ts = build_structure([8, 2])
+    ts.append(2)
+    assert ts.key_lists() == [[8, 2]]
+    assert ts.snapshot() == [[(8, (1,)), (2, (2, 3))]]
 
 
 def test_insert_into_empty():
-    lst = OrderedList()
-    lst.insert(8, 1)
-    assert lst.keys() == [8]
-    assert lst.min() == 8
+    ts = ThresholdStructure()
+    ts.append(8)
+    assert ts.key_lists() == [[8]]
+    assert ts.min_value() == 8
 
 
 def test_insert_interior_and_interior_duplicate():
-    # the threshold structure only inserts at or below the minimum, so a
-    # key above it, new or already stored, is a caller bug
-    lst = build_ordered([8, 5, 2])
-    with pytest.raises(StructureError):
-        lst.insert(6, 4)
-    with pytest.raises(StructureError):
-        lst.insert(5, 5)
-    assert lst.keys() == [8, 5, 2]
-    assert [e.positions for e in lst.entries] == [[1], [2], [3]]
+    # a key above a level's minimum, new or already stored there, never
+    # enters that level's interior: it lands on a higher level
+    ts = build_structure([8, 5, 2])
+    ts.append(6)
+    ts.append(5)
+    assert ts.key_lists() == [[8, 5, 2], [6, 5]]
+    assert ts.snapshot()[0] == [(8, (1,)), (5, (2,)), (2, (3,))]
 
 
 def test_remove_min_drops_all_positions():
-    lst = build_ordered([8, 2])
-    lst.insert(2, 3)
-    lst.remove_min()
-    assert lst.keys() == [8]
-    with pytest.raises(StructureError):
-        OrderedList().remove_min()
+    ts = build_structure([8, 2, 2])
+    ts.extract_min()
+    assert ts.key_lists() == [[8]]
+    assert ts.snapshot() == [[(8, (1,))]]
+    assert ts.size == 1
+    with pytest.raises(ValueError):
+        ThresholdStructure().extract_min()
 
 
 def test_predecessor_examples():
-    lst = build_ordered([6, 5, 4, 3])
-    assert lst.predecessor(8).entry.value == 6
-    assert lst.predecessor(5).entry.value == 5
-    assert lst.predecessor(2) is None
-    assert lst.predecessor(INF).entry.value == 6
-    assert OrderedList().predecessor(5) is None
+    ts = build_structure([6, 5, 4, 3])
+    assert predecessor(ts, 8)[0] == 6
+    assert predecessor(ts, 5)[0] == 5
+    assert predecessor(ts, 2) is None
+    assert predecessor(ts, INF)[0] == 6
+    assert predecessor(ThresholdStructure(), 5) is None
 
 
 def test_predecessor_returns_first_position_of_entry():
-    lst = build_ordered([8, 2])
-    lst.insert(2, 12)
-    h = lst.predecessor(3)
-    assert h.entry.value == 2
-    assert h.entry.positions[0] == 2
+    ts = build_structure([8, 2, 2])
+    assert predecessor(ts, 3) == (2, 2)
 
 
 @settings(max_examples=200)
 @given(decreasing_keys(), st.integers(0, 210))
 def test_predecessor_matches_linear_scan(keys, bound):
-    lst = build_ordered(keys)
+    ts = build_structure(keys)
     expected = max((k for k in keys if k <= bound), default=None)
-    h = lst.predecessor(bound)
-    assert (h.entry.value if h else None) == expected
+    found = predecessor(ts, bound)
+    assert (found[0] if found else None) == expected
 
 
 def test_split_concatenate_examples():
-    lst = build_ordered([6, 5, 4, 3])
-    detached = lst.split_at(lst.predecessor(5))
-    assert lst.keys() == [6]
-    assert detached.keys() == [5, 4, 3]
-
-    target = build_ordered([8])
-    other = build_ordered([6, 5, 4, 3], start=2)
-    target.concatenate(other)
-    assert target.keys() == [8, 6, 5, 4, 3]
-    assert other.entries == []
-
-    empty = OrderedList()
-    empty.concatenate(build_ordered([8]))
-    assert empty.keys() == [8]
+    # dropping 2 leaves level 1 at minimum 5, so level 2's keys at most 5
+    # are cut off and concatenated below
+    ts = build_structure([5, 2, 8, 6, 4, 3])
+    assert ts.key_lists() == [[5, 2], [8, 6, 4, 3]]
+    ts.extract_min()
+    assert ts.key_lists() == [[5, 4, 3], [8, 6]]
+    assert ts.snapshot() == [[(5, (1,)), (4, (5,)), (3, (6,))],
+                             [(8, (3,)), (6, (4,))]]
+    assert ts.stats.transfers_out == {2: 2}
 
 
 def test_split_whole_list():
-    lst = build_ordered([6, 5, 4])
-    detached = lst.split_at(lst.predecessor(INF))
-    assert lst.keys() == []
-    assert detached.keys() == [6, 5, 4]
+    ts = build_structure([2, 6, 5, 4])
+    assert ts.key_lists() == [[2], [6, 5, 4]]
+    ts.extract_min()
+    assert ts.key_lists() == [[6, 5, 4]]
+    assert ts.lis_length == 1
+    assert ts.stats.transfers_out == {2: 3}
 
 
 def test_concatenate_merges_equal_boundary():
-    a = OrderedList()
-    a.insert(7, 1)
-    a.insert(5, 5)
-    b = OrderedList()
-    b.insert(5, 9)
-    a.concatenate(b)
-    assert a.keys() == [7, 5]
-    assert a.entries[-1].positions == [5, 9]
-
-
-def test_concatenate_interleaved_positions_raise():
-    # equal boundary keys merge only when every detached position follows
-    # every stored one, as it does between adjacent levels of the structure
-    a = OrderedList()
-    a.insert(7, 1)
-    a.insert(5, 9)
-    b = OrderedList()
-    b.insert(5, 4)
-    with pytest.raises(StructureError):
-        a.concatenate(b)
-
-
-def test_concatenate_order_violation():
-    a = build_ordered([3])
-    with pytest.raises(StructureError):
-        a.concatenate(build_ordered([5], start=2))
-
-
-def test_split_stale_handle():
-    lst = build_ordered([5])
-    h = lst.predecessor(5)
-    lst.remove_min()
-    lst.insert(5, 2)  # same key, different entry
-    with pytest.raises(StructureError):
-        lst.split_at(h)
+    ts = build_structure([7, 5, 2, 5])
+    assert ts.key_lists() == [[7, 5, 2], [5]]
+    ts.extract_min()
+    assert ts.key_lists() == [[7, 5]]
+    assert ts.snapshot() == [[(7, (1,)), (5, (2, 4))]]
+    assert ts.size == 3
 
 
 def test_iter_pairs_position_order():
-    lst = build_ordered([8, 2])
-    lst.insert(2, 12)
-    assert list(lst.iter_pairs()) == [(8, 1), (2, 2), (2, 12)]
-    h = lst.predecessor(2)
-    assert list(lst.iter_pairs(h)) == [(2, 2), (2, 12)]
-
-
-@settings(max_examples=150)
-@given(decreasing_keys().filter(len), st.integers(0, 210))
-def test_split_concatenate_round_trip(keys, bound):
-    lst = build_ordered(keys)
-    before = [(e.value, tuple(e.positions)) for e in lst.entries]
-    h = lst.predecessor(bound)
-    if h is None:
-        return
-    detached = lst.split_at(h)
-    assert all(k > bound for k in lst.keys())
-    assert all(k <= bound for k in detached.keys())
-    lst.concatenate(detached)
-    assert [(e.value, tuple(e.positions)) for e in lst.entries] == before
+    ts = build_structure([8, 2, 2])
+    assert window(ts, INF) == [(8, 1), (2, 2), (2, 3)]
+    assert window(ts, 2) == [(2, 2), (2, 3)]
 
 
 def test_ops_counter_moves():
-    lst = build_ordered([9, 7, 5, 3, 1])
-    before = lst.ops.steps
-    lst.predecessor(4)
-    assert lst.ops.steps > before
+    ts = build_structure([9, 7, 5, 3, 1])
+    before = ts.stats.tree_ops()
+    ts.append(4)
+    assert ts.stats.tree_ops() > before
