@@ -140,11 +140,17 @@ def cmd_lcss(args):
     pairs = next(found) if length else []
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
-        ok = ref == length and all(
-            args.p[i - 1] == args.s[j - 1] for i, j in pairs)
+        # the witness must be a common subsequence of the claimed length:
+        # one pair per letter, both coordinates strictly increasing
+        ok = (ref == length == len(pairs)
+              and all(i < i2 and j < j2
+                      for (i, j), (i2, j2) in zip(pairs, pairs[1:]))
+              and all(0 < i <= len(args.p) and 0 < j <= len(args.s)
+                      and args.p[i - 1] == args.s[j - 1] for i, j in pairs))
         if not ok:
-            print("verify mismatch: got length=%d, oracle length=%d"
-                  % (length, ref), file=sys.stderr)
+            print("verify mismatch: got length=%d pairs=%s, oracle length=%d"
+                  % (length, ",".join("%d:%d" % pr for pr in pairs), ref),
+                  file=sys.stderr)
             return 3
     if args.length_only:
         print(length)

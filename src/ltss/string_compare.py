@@ -10,7 +10,7 @@ never matched).  Positions keep their original 1-based S coordinates
 throughout; nothing is ever renumbered.
 """
 
-from bisect import bisect_right
+from array import array
 
 from .dynamic_lis import ThresholdStructure
 
@@ -18,37 +18,23 @@ from .dynamic_lis import ThresholdStructure
 class MatchIndex:
     """Per-letter match positions over S, each list strictly decreasing.
 
-    Positions dropped off the front of S always form a tail of each list,
-    so one live-length cursor per letter skips them in amortized O(1).
-    """
+    The lists hold exactly the positions still inside the suffix: a
+    comparator pops each position off its letter's list as it drops it."""
 
-    __slots__ = ("by_letter", "_live")
+    __slots__ = ("by_letter",)
 
     def __init__(self, s):
         by_letter = {}
         for j in range(len(s), 0, -1):
             by_letter.setdefault(s[j - 1], []).append(j)
         self.by_letter = by_letter
-        self._live = {letter: len(ps) for letter, ps in by_letter.items()}
-
-    def live_positions(self, letter, front):
-        """Match positions still inside the suffix (> front), largest
-        first.  Trims the consumed tail lazily; front must not shrink."""
-        ps = self.by_letter.get(letter)
-        if ps is None:
-            return ()
-        n = self._live[letter]
-        while n and ps[n - 1] <= front:
-            n -= 1
-        self._live[letter] = n
-        return ps[:n]
 
 
 class Comparator:
     """Common-subsequence tracker between a growing prefix P and the
     front-shrinking suffix of the original string S."""
 
-    __slots__ = ("s_text", "index", "ts", "front", "p_len", "_batches")
+    __slots__ = ("s_text", "index", "ts", "front", "p_len", "_runs")
 
     def __init__(self, s):
         self.s_text = s
@@ -56,29 +42,30 @@ class Comparator:
         self.ts = ThresholdStructure()
         self.front = 0       # letters dropped off the front of S
         self.p_len = 0
-        self._batches = []   # (p_index, first_pos, last_pos) per non-empty append
+        self._runs = []      # (p_index, match_count) per non-empty append
 
     @property
     def lcss_length(self):
         return self.ts.lis_length
 
     def append_to_p(self, letter):
-        """Extend P with letter: feed its live match positions, largest
-        first, as one decreasing batch."""
+        """Extend P with letter: feed its match positions in S, largest
+        first, as one decreasing run."""
         self.p_len += 1
-        live = self.index.live_positions(letter, self.front)
+        live = self.index.by_letter.get(letter)
         if live:
-            ts = self.ts
-            start = ts.position_counter + 1
-            ts.extend(live)
-            self._batches.append((self.p_len, start, ts.position_counter))
+            self.ts.extend(live)
+            self._runs.append((self.p_len, len(live)))
 
     def drop_front_of_s(self):
-        """Shrink S from the front.  A dropped position that was ever
-        matched is necessarily the structure's minimum, so one O(1)
-        comparison decides between extract-min and doing nothing."""
+        """Shrink S from the front.  Positions leave S in increasing
+        order and each match list decreases, so the dropped position is
+        its letter's list tail.  A dropped position that was ever matched
+        is necessarily the structure's minimum, so one O(1) comparison
+        decides between extract-min and doing nothing."""
         if self.front >= len(self.s_text):
             raise ValueError("suffix already exhausted")
+        self.index.by_letter[self.s_text[self.front]].pop()
         self.front += 1
         if self.ts.min_value() == self.front:
             self.ts.extract_min()
@@ -87,14 +74,13 @@ class Comparator:
         """Maximal common subsequences as (p_position, s_position) pair
         lists, in enumeration order.  Both coordinates strictly increase
         along a witness; s positions are original S coordinates."""
-        starts = [b[1] for b in self._batches]
-        batches = self._batches
+        # structure position -> the prefix index whose append logged it;
+        # positions count from 1, so slot 0 is padding
+        owner = array("i", (0,))
+        for p_index, count in self._runs:
+            owner += array("i", (p_index,)) * count
         for seq in self.ts.all_lis(limit):
-            pairs = []
-            for value, pos in seq:
-                batch = batches[bisect_right(starts, pos) - 1]
-                pairs.append((batch[0], value))
-            yield pairs
+            yield [(owner[pos], value) for value, pos in seq]
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""

@@ -1,8 +1,10 @@
 """CLI tests: input parsing, the three documented invocations, output
 formats, verify/exit codes, and error handling."""
 
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -12,6 +14,12 @@ import pytest
 from ltss import cli, oracle, tandem
 
 GOLDEN = "AGCGAACGGGTA"
+
+
+# child interpreters import the same ltss package as this process
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(argv, stdin=None, monkeypatch=None):
@@ -227,6 +235,50 @@ def test_lcss_json_enumerate(capsys):
                    for i, j in zip(alt["pPositions"], alt["sPositions"]))
 
 
+LCSS_HEAD = "length=3\nwitness=AGG\np_positions=1,2,4\ns_positions=2,5,6\n"
+LCSS_PAIRS = ["1:2,2:5,4:6", "1:1,2:5,4:6", "1:2,2:4,4:6", "1:1,2:4,4:6",
+              "1:2,3:3,4:6", "1:1,3:3,4:6", "1:2,2:4,4:5", "1:1,2:4,4:5",
+              "1:2,3:3,4:5", "1:1,3:3,4:5"]
+LCSS_JSON_S = [[2, 5, 6], [1, 5, 6], [2, 4, 6], [1, 4, 6], [2, 3, 6]]
+LCSS_JSON_P = [[1, 2, 4]] * 4 + [[1, 3, 4]]
+LIS_SEQS = ["2:2,5:5,6:8", "1:3,5:5,6:8", "2:2,4:6,6:8", "1:3,4:6,6:8",
+            "2:2,3:7,6:8", "1:3,3:7,6:8", "2:2,4:6,5:9", "1:3,4:6,5:9",
+            "2:2,3:7,5:9", "1:3,3:7,5:9"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["lcss", "--enumerate", "10", "AGCG", "AACGGGTA"],
+     LCSS_HEAD + "".join("pairs=%s\n" % row for row in LCSS_PAIRS)),
+    (["lcss", "--format", "json", "--enumerate", "5", "AGCG", "AACGGGTA"],
+     '{"length": 3, "witness": "AGG", "pPositions": [1, 2, 4], '
+     '"sPositions": [2, 5, 6], "witnesses": [%s]}\n' % ", ".join(
+         '{"pPositions": %s, "sPositions": %s}' % pair
+         for pair in zip(LCSS_JSON_P, LCSS_JSON_S))),
+    (["lis", "--enumerate", "10", "8", "2", "1", "6", "5", "4", "3", "6",
+      "5", "4"],
+     "length=3\n" + "".join("seq=%s\n" % row for row in LIS_SEQS)),
+])
+def test_lcss_lis_output_bytes(argv, expected, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_lcss_enumerate_dna_bytes(capsys):
+    # two 40-letter strings drawn with random.Random(5); 50 witnesses of
+    # length 23, pinned by digest
+    p = "GGATCACAGTCTACACTGCTCACTCCAACCCCGGCCCCTG"
+    s = "AGTCCGAGGAGAGGGTGCTTCAGAGTATGTATACCACTGG"
+    assert cli.main(["lcss", "--enumerate", "50", p, s]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "length=23\nwitness=GTCCAGAATGCTTCAAGGCCCTG\n"
+        "p_positions=1,4,5,7,8,9,13,15,17,18,19,20,24,25,27,28,33,34,35,36,"
+        "37,39,40\n")
+    assert out.count("\npairs=") == 50
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3409fef108dfad5afcd0ab20066960c5cb333a4315bf964c5a6191f53ecd93f4")
+
+
 def test_lcss_empty_result(capsys):
     assert cli.main(["lcss", "ABC", "XYZ"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -271,6 +323,26 @@ def test_verify_mismatch_exits_3(capsys, monkeypatch):
     assert "verify mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broken", [
+    lambda pairs: pairs[::-1],
+    lambda pairs: pairs[:-1],
+    lambda pairs: pairs + pairs[-1:],
+], ids=["reversed", "one-pair-short", "pair-repeated"])
+def test_lcss_verify_checks_whole_witness(broken, capsys, monkeypatch):
+    # each broken witness still pairs equal letters only
+    real = cli.Comparator.witnesses
+
+    def witnesses(self, limit=None):
+        for pairs in real(self, limit):
+            yield broken(pairs)
+
+    monkeypatch.setattr(cli.Comparator, "witnesses", witnesses)
+    assert cli.main(["lcss", "--verify", "AGCG", "AACGGGTA"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify mismatch" in captured.err
+
+
 def test_verify_guard(capsys, monkeypatch):
     big = "AB" * (oracle.TANDEM_GUARD // 2 + 1)
     code = run_cli(["ltss", "--verify"], big, monkeypatch)
@@ -293,7 +365,7 @@ def test_input_errors_exit_2(argv, stdin, capsys, monkeypatch):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ltss", "ltss", "--length-only"],
-        input=GOLDEN, capture_output=True, text=True)
+        input=GOLDEN, capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
 
@@ -316,7 +388,7 @@ def test_broken_pipe_subprocess_is_quiet():
     cmd = ("%s -m ltss lis %s --enumerate 40000 | head -n 1"
            % (sys.executable, " ".join(values)))
     proc = subprocess.run(["bash", "-o", "pipefail", "-c", cmd],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.stdout == "length=2\n"
     assert proc.stderr == ""
     assert proc.returncode == 1

@@ -4,6 +4,10 @@ session, and randomized interleavings checked against the quadratic DP."""
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from ltss.oracle import dp_lcss, lcss_length
 from ltss.string_compare import Comparator, MatchIndex
@@ -18,21 +22,22 @@ def advance(comp, letters):
 
 def test_match_index_golden():
     idx = MatchIndex(S_GOLDEN)
-    assert idx.live_positions("A", 0) == [8, 2, 1]
-    assert idx.live_positions("C", 0) == [3]
-    assert idx.live_positions("G", 0) == [6, 5, 4]
-    assert idx.live_positions("T", 0) == [7]
-    assert idx.live_positions("X", 0) == ()
+    assert idx.by_letter == {
+        "A": [8, 2, 1], "C": [3], "G": [6, 5, 4], "T": [7]}
 
 
 def test_match_index_live_cursor():
-    idx = MatchIndex(S_GOLDEN)
-    assert idx.live_positions("A", 0) == [8, 2, 1]
-    assert idx.live_positions("A", 1) == [8, 2]
-    assert idx.live_positions("A", 2) == [8]
-    assert idx.live_positions("G", 2) == [6, 5, 4]
-    assert idx.live_positions("A", 8) == []
-    assert idx.live_positions("X", 0) == ()
+    # each drop pops the dropped position off its own letter's list
+    comp = Comparator(S_GOLDEN)
+    lists = comp.index.by_letter
+    for k in range(1, len(S_GOLDEN) + 1):
+        before = {c: list(ps) for c, ps in lists.items()}
+        comp.drop_front_of_s()
+        dropped = S_GOLDEN[k - 1]
+        assert lists[dropped] == before[dropped][:-1]
+        assert all(lists[c] == before[c] for c in lists if c != dropped)
+        assert lists == {c: [j for j in range(len(S_GOLDEN), k, -1)
+                             if S_GOLDEN[j - 1] == c] for c in "ACGT"}
 
 
 def test_append_to_p_builds_worked_state():
@@ -160,3 +165,66 @@ def test_random_interleavings_match_dp():
             assert all(a < b for a, b in zip(ss, ss[1:]))
             assert all(p[i - 1] == s[j - 1] for i, j in pairs)
             assert all(j > front for j in ss)
+
+
+class ComparatorMachine(RuleBasedStateMachine):
+    """Interleaved prefix appends (letters of S and an absent letter),
+    front drops and enumerations against the quadratic DP.  After every
+    step the match lists hold exactly the positions still in the suffix,
+    and the witnesses are distinct maximal pairings: the run table maps
+    each structure position back to the prefix letter that fed it."""
+
+    @initialize(s=st.text(alphabet="ABC", min_size=1, max_size=12))
+    def start(self, s):
+        self.s = s
+        self.p = ""
+        self.front = 0
+        self.comp = Comparator(s)
+
+    @rule(letter=st.sampled_from("ABCZ"))
+    def append_to_p(self, letter):
+        self.comp.append_to_p(letter)
+        self.p += letter
+
+    @rule()
+    def drop_front_of_s(self):
+        if self.front == len(self.s):
+            with pytest.raises(ValueError):
+                self.comp.drop_front_of_s()
+            return
+        self.comp.drop_front_of_s()
+        self.front += 1
+
+    @rule(limit=st.integers(1, 50))
+    def witnesses(self, limit):
+        self._check_witnesses(limit)
+
+    def _check_witnesses(self, limit):
+        length = self.comp.lcss_length
+        if not length:
+            with pytest.raises(ValueError):
+                self.comp.witness()
+            return
+        got = [tuple(w) for w in self.comp.witnesses(limit)]
+        assert 1 <= len(got) <= limit
+        assert len(set(got)) == len(got)
+        for pairs in got:
+            assert len(pairs) == length
+            assert all(a[0] < b[0] and a[1] < b[1]
+                       for a, b in zip(pairs, pairs[1:]))
+            assert all(self.p[i - 1] == self.s[j - 1] for i, j in pairs)
+            assert all(j > self.front for _, j in pairs)
+
+    @invariant()
+    def matches_oracle(self):
+        s, front = self.s, self.front
+        assert self.comp.lcss_length == lcss_length(self.p, s[front:])
+        assert self.comp.index.by_letter == {
+            c: [j for j in range(len(s), front, -1) if s[j - 1] == c]
+            for c in set(s)}
+        self._check_witnesses(5)
+
+
+ComparatorMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=150, stateful_step_count=30, deadline=None)
+test_comparator_machine = ComparatorMachine.TestCase
