@@ -51,12 +51,12 @@ def parse_input(text, fasta=False):
 
 
 def _read_source(path):
-    if path is None or path == "-":
-        return sys.stdin.read()
     try:
+        if path is None or path == "-":
+            return sys.stdin.read()
         with open(path, "r") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc))
 
 

@@ -20,9 +20,11 @@ strictly increasing counter that is never reused, so enumeration can
 report (value, position) pairs that identify elements uniquely.  Positions
 live in an append log rather than in the levels: the value at position p
 is the p-th value ever appended, and an extract-min kills every logged
-occurrence of its value at once.  The positional levels depend only on the
-sequence of surviving appends, so snapshot() and all_lis() rebuild them
-from the log with one patience pass.
+occurrence of its value at once.  Only enumeration reads positions, and
+positional levels depend only on the sequence of surviving appends, so
+positional_levels() builds them from any append-only history with one
+patience pass (Hunt and Szymanski, 1977) and enumerate_lis() walks them:
+all_lis() feeds the log's survivors, a comparator its live match lists.
 """
 
 import math
@@ -30,6 +32,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice
+from operator import neg
 
 INF = math.inf
 
@@ -85,16 +88,14 @@ class ThresholdStructure:
 
     def snapshot(self):
         """(value, positions) pairs per level, for state comparisons."""
-        log = self._log
         out = []
-        for level in self._positional_levels():
+        for values, positions in self._survivor_levels():
             entries = []
-            for p in level:
-                value = log[p - 1]
-                if entries and entries[-1][0] == value:
+            for v, p in zip(values, positions):
+                if entries and entries[-1][0] == v:
                     entries[-1][1].append(p)
                 else:
-                    entries.append((value, [p]))
+                    entries.append((v, [p]))
             out.append([(v, tuple(ps)) for v, ps in entries])
         return out
 
@@ -193,57 +194,64 @@ class ThresholdStructure:
         top-down window walk: the maximal value chain comes first."""
         if self.size == 0:
             raise ValueError("all_lis on empty structure")
-        return islice(self._enumerate(self._positional_levels()), limit)
+        return islice(enumerate_lis(self._survivor_levels()), limit)
 
-    def _positional_levels(self):
-        # One patience pass over the surviving appends: level k as the
-        # positions of its elements, ascending, which lists its keys in
-        # decreasing order with equal keys adjacent.
+    def _survivor_levels(self):
         killed = self._killed
-        tails = []
-        levels = []
-        for p, v in enumerate(self._log, 1):
-            if p <= killed.get(v, 0):
-                continue
-            k = bisect_left(tails, v)
-            if k == len(tails):
-                tails.append(v)
-                levels.append(array("q", (p,)))
-            else:
-                tails[k] = v
-                levels[k].append(p)
-        return levels
+        return positional_levels((v, p) for p, v in enumerate(self._log, 1)
+                                 if p > killed.get(v, 0))
 
-    def _window(self, level, value_bound, pos_bound):
-        # Valid elements of a level below a chosen (value, position): keys
-        # at most value_bound, positions below pos_bound.  They form a
-        # contiguous run in position order starting at the first key at
-        # most value_bound.
-        log = self._log
-        start = bisect_left(level, -value_bound, key=lambda p: -log[p - 1])
-        for pos in islice(level, start, None):
-            if pos >= pos_bound:
-                return
-            yield log[pos - 1], pos
 
-    def _enumerate(self, levels):
-        lam = len(levels)
-        frames = [self._window(levels[-1], INF, INF)]
-        chosen = []
-        while frames:
-            item = next(frames[-1], None)
-            if item is None:
-                frames.pop()
-                if len(chosen) > len(frames):
-                    chosen.pop()
-                continue
-            if len(chosen) == len(frames):
-                chosen[-1] = item
-            else:
-                chosen.append(item)
-            if len(frames) == lam:
-                yield tuple(reversed(chosen))
-            else:
-                value, pos = item
-                frames.append(self._window(levels[lam - len(frames) - 1],
-                                           value - 1, pos))
+def positional_levels(history):
+    """Levels of an append-only history of (value, tag) pairs, tags
+    non-decreasing and values decreasing within a tag: level k is the
+    (values, tags) of its elements in history order, values falling."""
+    tails, values, tags = [], [], []
+    for v, t in history:
+        k = bisect_left(tails, v)
+        if k == len(tails):
+            tails.append(v)
+            values.append([v])
+            tags.append(array("q", (t,)))
+        else:
+            tails[k] = v
+            values[k].append(v)
+            tags[k].append(t)
+    return list(zip(values, tags))
+
+
+def _window(level, value_bound, tag_bound):
+    # Elements of a level below a chosen (value, tag): the run from the
+    # first value at most value_bound up to the first tag not below
+    # tag_bound.  One sharing the chosen tag lies above the value bound.
+    values, tags = level
+    start = bisect_left(values, -value_bound, key=neg)
+    stop = bisect_left(tags, tag_bound, start)
+    return zip(islice(values, start, stop), islice(tags, start, stop))
+
+
+def enumerate_lis(levels):
+    """Yield every longest strictly increasing subsequence of the levels'
+    history as (value, tag) tuples, the maximal value chain first."""
+    if not levels:
+        raise ValueError("no increasing subsequence in an empty history")
+    lam = len(levels)
+    frames = [_window(levels[-1], INF, INF)]
+    chosen = []
+    while frames:
+        item = next(frames[-1], None)
+        if item is None:
+            frames.pop()
+            if len(chosen) > len(frames):
+                chosen.pop()
+            continue
+        if len(chosen) == len(frames):
+            chosen[-1] = item
+        else:
+            chosen.append(item)
+        if len(frames) == lam:
+            yield tuple(reversed(chosen))
+        else:
+            value, tag = item
+            frames.append(_window(levels[lam - len(frames) - 1],
+                                  value - 1, tag))

@@ -7,12 +7,14 @@ order, into the threshold structure; the structure's LIS length is then
 exactly the common-subsequence length.  Dropping the front letter of S is
 a single extract-min (or nothing at all, when the dropped position was
 never matched).  Positions keep their original 1-based S coordinates
-throughout; nothing is ever renumbered.
+throughout; nothing is ever renumbered.  Witnesses read no structure
+positions: the live match lists, in prefix order, are exactly the
+structure's surviving appends, so they feed the positional build as is.
 """
 
-from array import array
+from itertools import islice
 
-from .dynamic_lis import ThresholdStructure
+from .dynamic_lis import ThresholdStructure, enumerate_lis, positional_levels
 
 
 class MatchIndex:
@@ -34,28 +36,30 @@ class Comparator:
     """Common-subsequence tracker between a growing prefix P and the
     front-shrinking suffix of the original string S."""
 
-    __slots__ = ("s_text", "index", "ts", "front", "p_len", "_runs")
+    __slots__ = ("s_text", "index", "ts", "front", "p_letters")
 
     def __init__(self, s):
         self.s_text = s
         self.index = MatchIndex(s)
         self.ts = ThresholdStructure()
         self.front = 0       # letters dropped off the front of S
-        self.p_len = 0
-        self._runs = []      # (p_index, match_count) per non-empty append
+        self.p_letters = []
 
     @property
     def lcss_length(self):
         return self.ts.lis_length
 
+    @property
+    def p_len(self):
+        return len(self.p_letters)
+
     def append_to_p(self, letter):
         """Extend P with letter: feed its match positions in S, largest
         first, as one decreasing run."""
-        self.p_len += 1
+        self.p_letters.append(letter)
         live = self.index.by_letter.get(letter)
         if live:
             self.ts.extend(live)
-            self._runs.append((self.p_len, len(live)))
 
     def drop_front_of_s(self):
         """Shrink S from the front.  Positions leave S in increasing
@@ -74,13 +78,11 @@ class Comparator:
         """Maximal common subsequences as (p_position, s_position) pair
         lists, in enumeration order.  Both coordinates strictly increase
         along a witness; s positions are original S coordinates."""
-        # structure position -> the prefix index whose append logged it;
-        # positions count from 1, so slot 0 is padding
-        owner = array("i", (0,))
-        for p_index, count in self._runs:
-            owner += array("i", (p_index,)) * count
-        for seq in self.ts.all_lis(limit):
-            yield [(owner[pos], value) for value, pos in seq]
+        by_letter = self.index.by_letter
+        history = ((j, i) for i, letter in enumerate(self.p_letters, 1)
+                   for j in by_letter.get(letter, ()))
+        for seq in islice(enumerate_lis(positional_levels(history)), limit):
+            yield [(i, j) for j, i in seq]
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""

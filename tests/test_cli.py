@@ -23,7 +23,10 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(argv, stdin=None, monkeypatch=None):
-    if stdin is not None:
+    if isinstance(stdin, bytes):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin),
+                                                           encoding="utf-8"))
+    elif stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     return cli.main(argv)
 
@@ -263,6 +266,19 @@ def test_lcss_lis_output_bytes(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "length=1\nseq=99999999999999999999999:1\nseq=5:2\n"),
+    ("json", '{"length": 1, "sequences": [[[99999999999999999999999, 1]], '
+             '[[5, 2]]]}\n'),
+])
+def test_lis_values_beyond_64_bits(fmt, expected, capsys):
+    # lis accepts any positive int, so enumeration keeps the values as ints
+    argv = ["lis", "--format", fmt, "99999999999999999999999", "5",
+            "--enumerate", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_lcss_enumerate_dna_bytes(capsys):
     # two 40-letter strings drawn with random.Random(5); 50 witnesses of
     # length 23, pinned by digest
@@ -350,14 +366,21 @@ def test_verify_guard(capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"AC\xffGT\n"
+
+
 @pytest.mark.parametrize("argv,stdin", [
     (["ltss", "/no/such/file"], None),
     (["ltss"], "A B\n"),
     (["ltss", "--enumerate", "0"], "AA\n"),
     (["lis", "0", "2"], None),
     (["ltss", "--fasta"], "ACGT\n"),
+    (["ltss", "not-utf8.txt"], None),
+    (["ltss"], NOT_UTF8),
 ])
-def test_input_errors_exit_2(argv, stdin, capsys, monkeypatch):
+def test_input_errors_exit_2(argv, stdin, capsys, monkeypatch, tmp_path):
+    (tmp_path / "not-utf8.txt").write_bytes(NOT_UTF8)
+    monkeypatch.chdir(tmp_path)
     assert run_cli(argv, stdin, monkeypatch) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -5,14 +5,14 @@ the append log: appends land at a level's tail, an extract-min drops the
 level-1 tail with every position of its value, and the cascade cuts a
 level at a key bound and concatenates the cut onto the level below.
 Searches by key bound are the enumeration windows over the positional
-levels.
+levels that the shared patience build makes from the log's survivors.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.dynamic_lis import INF, ThresholdStructure
+from ltss.dynamic_lis import INF, ThresholdStructure, _window
 
 from helpers import build_structure
 
@@ -25,8 +25,8 @@ def decreasing_keys():
 def window(ts, bound, level=0):
     """(value, position) pairs of a level from its largest key at most
     bound on, in position order."""
-    levels = ts._positional_levels()
-    return list(ts._window(levels[level], bound, INF)) if levels else []
+    levels = ts._survivor_levels()
+    return list(_window(levels[level], bound, INF)) if levels else []
 
 
 def predecessor(ts, bound, level=0):

@@ -171,8 +171,9 @@ class ComparatorMachine(RuleBasedStateMachine):
     """Interleaved prefix appends (letters of S and an absent letter),
     front drops and enumerations against the quadratic DP.  After every
     step the match lists hold exactly the positions still in the suffix,
-    and the witnesses are distinct maximal pairings: the run table maps
-    each structure position back to the prefix letter that fed it."""
+    and the witnesses are distinct maximal pairings, listed in the
+    structure's own enumeration order: an owner table kept here (one
+    prefix index per structure position) is the reference mapping."""
 
     @initialize(s=st.text(alphabet="ABC", min_size=1, max_size=12))
     def start(self, s):
@@ -180,11 +181,15 @@ class ComparatorMachine(RuleBasedStateMachine):
         self.p = ""
         self.front = 0
         self.comp = Comparator(s)
+        self.owner = [None]   # structure position -> prefix index
 
     @rule(letter=st.sampled_from("ABCZ"))
     def append_to_p(self, letter):
+        before = self.comp.ts.position_counter
         self.comp.append_to_p(letter)
         self.p += letter
+        fed = self.comp.ts.position_counter - before
+        self.owner += [len(self.p)] * fed
 
     @rule()
     def drop_front_of_s(self):
@@ -206,6 +211,8 @@ class ComparatorMachine(RuleBasedStateMachine):
                 self.comp.witness()
             return
         got = [tuple(w) for w in self.comp.witnesses(limit)]
+        assert got == [tuple((self.owner[pos], value) for value, pos in seq)
+                       for seq in self.comp.ts.all_lis(limit)]
         assert 1 <= len(got) <= limit
         assert len(set(got)) == len(got)
         for pairs in got:

@@ -243,17 +243,22 @@ def benchmark_shapes():
 
 
 # (matches, lambda_max, extract_mins, entries moved, first 16 hex digits of
-# the sha256 of the sorted transfers items) per shape.  The --stats and JSON
-# payloads print these counters, so a change to the structure's internals
-# must leave every one of them as it is.
+# the sha256 of the sorted transfers items, tree_ops) per shape.  The
+# --stats and JSON payloads print the first four counters and the benchmark
+# traces tree_ops, so a change to the structure's internals must leave every
+# one of them as it is.
 SHAPE_COUNTERS = {
-    "dna-uniform": (45053, 195, 595, 1036756, "ddfb7a132a1ef640"),
-    "dna-near-tandem": (44863, 282, 595, 965027, "25e8ff83863dc56f"),
-    "dna-single-letter": (179700, 300, 598, 89401, "63c16ecd2b9ccfbb"),
-    "protein-uniform": (15990, 144, 779, 574071, "749fedd9f1e600c7"),
-    "enumerate-uniform": (19945, 126, 395, 306153, "35a2ce8256e8aef8"),
-    "enumerate-palindrome": (19900, 135, 395, 307487, "2aca8aa77e3c17f3"),
-    "enumerate-periodic": (19877, 158, 395, 276380, "53947571cecd0025"),
+    "dna-uniform": (45053, 195, 595, 1036756, "ddfb7a132a1ef640", 836041),
+    "dna-near-tandem": (44863, 282, 595, 965027, "25e8ff83863dc56f", 840841),
+    "dna-single-letter": (179700, 300, 598, 89401, "63c16ecd2b9ccfbb",
+                          2310245),
+    "protein-uniform": (15990, 144, 779, 574071, "749fedd9f1e600c7", 418814),
+    "enumerate-uniform": (19945, 126, 395, 306153, "35a2ce8256e8aef8",
+                          326304),
+    "enumerate-palindrome": (19900, 135, 395, 307487, "2aca8aa77e3c17f3",
+                             342577),
+    "enumerate-periodic": (19877, 158, 395, 276380, "53947571cecd0025",
+                           387524),
 }
 
 
@@ -263,4 +268,5 @@ def test_benchmark_shape_counters_golden():
         transfers = sorted(st.transfers.items())
         digest = hashlib.sha256(repr(transfers).encode()).hexdigest()[:16]
         assert (st.matches, st.lambda_max, st.extract_mins,
-                sum(st.transfers.values()), digest) == SHAPE_COUNTERS[name], name
+                sum(st.transfers.values()), digest,
+                st.tree_ops) == SHAPE_COUNTERS[name], name
