@@ -11,10 +11,10 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 
 from . import oracle
-from .dynamic_lis import ThresholdStructure
+from .dynamic_lis import enumerate_lis, positional_levels
 from .string_compare import Comparator
 from .tandem import compute_ltss, split_tandems
 
@@ -187,9 +187,8 @@ def cmd_lcss(args):
 def cmd_lis(args):
     if any(v < 1 for v in args.values):
         raise InputError("lis values must be positive integers")
-    ts = ThresholdStructure()
-    ts.extend(args.values)
-    length = ts.lis_length
+    levels = positional_levels(zip(args.values, count(1)))
+    length = len(levels)
     if args.verify:
         ref = oracle.patience_lis(args.values)
         if ref != length:
@@ -200,8 +199,8 @@ def cmd_lis(args):
         print(length)
         return 0
     sequences = []
-    if args.enumerate and length:
-        sequences = list(ts.all_lis(limit=args.enumerate))
+    if args.enumerate:
+        sequences = list(islice(enumerate_lis(levels), args.enumerate))
     if args.format == "json":
         payload = {"length": length}
         if sequences:
@@ -221,17 +220,18 @@ def _build_parser():
                         help="print just the length")
     common.add_argument("--verify", action="store_true",
                         help="cross-check the answer against a brute-force oracle")
-    common.add_argument("--stats", action="store_true",
-                        help="print scan instrumentation")
     common.add_argument("--enumerate", type=int, metavar="N",
                         help="enumerate up to N optimal solutions")
+    scanned = argparse.ArgumentParser(add_help=False)
+    scanned.add_argument("--stats", action="store_true",
+                         help="print scan instrumentation")
 
     parser = argparse.ArgumentParser(
         prog="ltss",
         description="Longest tandem scattered subsequence and friends.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ltss = sub.add_parser("ltss", parents=[common],
+    p_ltss = sub.add_parser("ltss", parents=[common, scanned],
                             help="tandem search on one string")
     p_ltss.add_argument("path", nargs="?",
                         help="input file (default: stdin, '-' accepted)")
@@ -239,7 +239,7 @@ def _build_parser():
                         help="treat input as single-record FASTA")
     p_ltss.set_defaults(func=cmd_ltss)
 
-    p_lcss = sub.add_parser("lcss", parents=[common],
+    p_lcss = sub.add_parser("lcss", parents=[common, scanned],
                             help="common subsequence of two strings")
     p_lcss.add_argument("p")
     p_lcss.add_argument("s")

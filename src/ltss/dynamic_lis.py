@@ -15,16 +15,18 @@ searches.  Supported updates:
   all_lis()        lazy enumeration of every longest increasing
                    subsequence, largest value chain first
 
-Values are positive integers; each inserted element gets a position from a
-strictly increasing counter that is never reused, so enumeration can
-report (value, position) pairs that identify elements uniquely.  Positions
-live in an append log rather than in the levels: the value at position p
-is the p-th value ever appended, and an extract-min kills every logged
-occurrence of its value at once.  Only enumeration reads positions, and
-positional levels depend only on the sequence of surviving appends, so
-positional_levels() builds them from any append-only history with one
-patience pass (Hunt and Szymanski, 1977) and enumerate_lis() walks them:
-all_lis() feeds the log's survivors, a comparator its live match lists.
+ThresholdLevels keeps the levels alone, so its space is O(live keys): it
+is what the scan's comparator drives.  Values are positive integers.
+ThresholdStructure adds element identity for an exact size and all_lis()
+after extracts: each inserted element gets a position from a strictly
+increasing counter that is never reused.  Positions live in an append log
+rather than in the levels: the value at position p is the p-th value ever
+appended, and an extract-min kills every logged occurrence of its value
+at once.  Only enumeration reads positions, and positional levels depend
+only on the sequence of surviving appends, so positional_levels() builds
+them from any append-only history with one patience pass (Hunt and
+Szymanski, 1977) and enumerate_lis() walks them: all_lis() feeds the
+log's survivors, a comparator its live match lists.
 """
 
 import math
@@ -57,27 +59,20 @@ class Counters:
         return self.search_steps + self.structure_steps
 
 
-class ThresholdStructure:
+class ThresholdLevels:
+    """Keys-only threshold levels: everything the scan reads and nothing
+    that only enumeration needs."""
 
-    __slots__ = ("_levels", "_mins", "size", "_log", "_killed", "_count",
-                 "stats")
+    __slots__ = ("_levels", "_mins", "stats")
 
     def __init__(self):
         self._levels = []    # negated keys per level, ascending
         self._mins = []      # _mins[k-1] == -self._levels[k-1][-1], always
-        self.size = 0        # live element count, duplicates included
-        self._log = []       # value of every append; position p is _log[p-1]
-        self._killed = {}    # value -> position counter at its last extract
-        self._count = Counter()   # live occurrences per value
         self.stats = Counters()
 
     @property
     def lis_length(self):
         return len(self._mins)
-
-    @property
-    def position_counter(self):
-        return len(self._log)
 
     def min_value(self):
         """Smallest live value, +inf when empty."""
@@ -86,41 +81,25 @@ class ThresholdStructure:
     def key_lists(self):
         return [[-x for x in level] for level in self._levels]
 
-    def snapshot(self):
-        """(value, positions) pairs per level, for state comparisons."""
-        out = []
-        for values, positions in self._survivor_levels():
-            entries = []
-            for v, p in zip(values, positions):
-                if entries and entries[-1][0] == v:
-                    entries[-1][1].append(p)
-                else:
-                    entries.append((v, [p]))
-            out.append([(v, tuple(ps)) for v, ps in entries])
-        return out
-
     def append(self, value):
         """Insert value after every current element."""
         self.extend((value,))
 
     def extend(self, values):
         """Append each value of the sequence in order.  A value not above
-        its predecessor lands at or below the predecessor's level, and one
-        above it lands higher, so each bisect of the tail chain covers only
-        that side."""
+        its predecessor lands at or below the predecessor's level, so
+        within a decreasing run each bisect of the tail chain stops at
+        the previous value's level."""
         mins = self._mins
         levels = self._levels
         probes = 0
         top = i = len(mins)
         prev = INF
         for v in values:
-            if v <= prev:
-                probes += i.bit_length()
-                i = bisect_left(mins, v, 0, i)
-            else:
-                lo = i + 1
-                probes += (top - lo).bit_length()
-                i = bisect_left(mins, v, lo, top)
+            if v > prev:
+                i = top
+            probes += i.bit_length()
+            i = bisect_left(mins, v, 0, i)
             if i == top:
                 top += 1
                 mins.append(v)
@@ -131,9 +110,6 @@ class ThresholdStructure:
                 levels[i].append(-v)
             prev = v
         n = len(values)
-        self.size += n
-        self._log.extend(values)
-        self._count.update(values)
         stats = self.stats
         stats.append_calls += n
         stats.search_steps += probes
@@ -145,13 +121,10 @@ class ThresholdStructure:
         tail of the level above, the offending suffix of the upper level
         (its keys at most the lower minimum) moves down one level, merging
         equal boundary keys."""
-        if self.size == 0:
+        mins = self._mins
+        if not mins:
             raise ValueError("extract_min on empty structure")
         levels = self._levels
-        mins = self._mins
-        m = mins[0]
-        self._killed[m] = len(self._log)
-        self.size -= self._count.pop(m)
         below = levels[0]
         below.pop()
         stats = self.stats
@@ -187,6 +160,49 @@ class ThresholdStructure:
         stats.extract_min_calls += 1
         stats.search_steps += probes
         stats.structure_steps += steps
+
+
+class ThresholdStructure(ThresholdLevels):
+    """Threshold levels plus the append log that numbers elements, for
+    an exact size and enumeration after extracts."""
+
+    __slots__ = ("size", "_log", "_killed", "_count")
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0        # live element count, duplicates included
+        self._log = []       # value of every append; position p is _log[p-1]
+        self._killed = {}    # value -> position counter at its last extract
+        self._count = Counter()   # live occurrences per value
+
+    @property
+    def position_counter(self):
+        return len(self._log)
+
+    def snapshot(self):
+        """(value, positions) pairs per level, for state comparisons."""
+        out = []
+        for values, positions in self._survivor_levels():
+            entries = []
+            for v, p in zip(values, positions):
+                if entries and entries[-1][0] == v:
+                    entries[-1][1].append(p)
+                else:
+                    entries.append((v, [p]))
+            out.append([(v, tuple(ps)) for v, ps in entries])
+        return out
+
+    def extend(self, values):
+        super().extend(values)
+        self.size += len(values)
+        self._log.extend(values)
+        self._count.update(values)
+
+    def extract_min(self):
+        m = self.min_value()
+        super().extract_min()
+        self._killed[m] = len(self._log)
+        self.size -= self._count.pop(m)
 
     def all_lis(self, limit=None):
         """Yield every longest strictly increasing subsequence as a tuple

@@ -38,25 +38,6 @@ def lcss_length(p, s):
     return dp_lcss(p, s)[len(p)][len(s)]
 
 
-def dp_lcss_witness(p, s):
-    """One maximal common subsequence as 1-based (i, j) pairs, recovered
-    by traceback preferring diagonal, then up, then left."""
-    d = dp_lcss(p, s)
-    i, j = len(p), len(s)
-    pairs = []
-    while i > 0 and j > 0:
-        if p[i - 1] == s[j - 1]:
-            pairs.append((i, j))
-            i -= 1
-            j -= 1
-        elif d[i - 1][j] >= d[i][j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    pairs.reverse()
-    return pairs
-
-
 def naive_lis(values):
     """Longest strictly increasing subsequence length, quadratic DP."""
     best = 0

@@ -7,14 +7,14 @@ order, into the threshold structure; the structure's LIS length is then
 exactly the common-subsequence length.  Dropping the front letter of S is
 a single extract-min (or nothing at all, when the dropped position was
 never matched).  Positions keep their original 1-based S coordinates
-throughout; nothing is ever renumbered.  Witnesses read no structure
-positions: the live match lists, in prefix order, are exactly the
-structure's surviving appends, so they feed the positional build as is.
+throughout; nothing is ever renumbered.  The structure keeps keys only:
+the live match lists, in prefix order, are exactly its surviving appends,
+so witnesses feed them to the positional build as they are.
 """
 
 from itertools import islice
 
-from .dynamic_lis import ThresholdStructure, enumerate_lis, positional_levels
+from .dynamic_lis import ThresholdLevels, enumerate_lis, positional_levels
 
 
 class MatchIndex:
@@ -41,7 +41,7 @@ class Comparator:
     def __init__(self, s):
         self.s_text = s
         self.index = MatchIndex(s)
-        self.ts = ThresholdStructure()
+        self.ts = ThresholdLevels()
         self.front = 0       # letters dropped off the front of S
         self.p_letters = []
 

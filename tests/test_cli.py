@@ -385,6 +385,14 @@ def test_input_errors_exit_2(argv, stdin, capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_lis_rejects_stats(capsys):
+    # --stats reports a scan, and lis runs none
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lis", "--stats", "3", "1", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stats" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ltss", "ltss", "--length-only"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from ltss.dynamic_lis import INF, ThresholdStructure
+from ltss.dynamic_lis import INF, Counters, ThresholdLevels, ThresholdStructure
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
                          threshold_stacks)
 
@@ -169,6 +169,43 @@ def test_extend_runs_survive_extracts():
                 batched.extract_min()
                 assert batched.key_lists() == plain.key_lists()
                 assert batched.size == plain.size
+
+
+def lockstep_state(ts):
+    st = ts.stats
+    return (ts.key_lists(), ts.lis_length, ts.min_value(),
+            [getattr(st, name) for name in Counters.__slots__])
+
+
+def test_levels_lockstep_with_structure():
+    # the keys-only levels the scan drives and the logged structure agree
+    # on every key and every counter after each step of a mixed trace
+    rng = random.Random(41)
+    for _ in range(200):
+        pair = (ThresholdLevels(), ThresholdStructure())
+        for _ in range(rng.randint(1, 60)):
+            roll = rng.random()
+            if roll < 0.3:
+                empty = not pair[1].size
+                for ts in pair:
+                    if empty:
+                        with pytest.raises(ValueError):
+                            ts.extract_min()
+                    else:
+                        ts.extract_min()
+            elif roll < 0.5:
+                value = rng.randint(1, 15)
+                for ts in pair:
+                    ts.append(value)
+            else:
+                if roll < 0.75:
+                    run = sorted(rng.sample(range(1, 16), rng.randint(1, 6)),
+                                 reverse=True)
+                else:
+                    run = [rng.randint(1, 15) for _ in range(rng.randint(0, 8))]
+                for ts in pair:
+                    ts.extend(run)
+            assert lockstep_state(pair[0]) == lockstep_state(pair[1])
 
 
 def test_lis_length_examples():

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.oracle import (bitparallel_ltss, dp_lcss, dp_lcss_witness,
-                         enumerate_lis_naive, lcss_length, naive_lis,
-                         naive_ltss, patience_lis, threshold_stacks,
-                         validate_tandem)
+from ltss.oracle import (bitparallel_ltss, dp_lcss, enumerate_lis_naive,
+                         lcss_length, naive_lis, naive_ltss, patience_lis,
+                         threshold_stacks, validate_tandem)
 from ltss.tandem import LtssResult
 
 from helpers import WORKED_STREAM
@@ -27,16 +26,6 @@ def test_dp_table_golden():
     assert all(row[0] == 0 for row in d)
 
 
-def test_dp_witness_golden_valid():
-    p, s = "AGCG", "AACGGGTA"
-    pairs = dp_lcss_witness(p, s)
-    assert len(pairs) == 3
-    assert all(p[i - 1] == s[j - 1] for i, j in pairs)
-    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
-    assert dp_lcss_witness("A", "A") == [(1, 1)]
-    assert dp_lcss_witness("AB", "BA") in ([(1, 2)], [(2, 1)])
-
-
 @settings(max_examples=150)
 @given(short_text, short_text)
 def test_dp_properties(p, s):
@@ -46,9 +35,6 @@ def test_dp_properties(p, s):
         for j in range(1, len(s) + 1):
             assert d[i][j] in (d[i - 1][j], d[i - 1][j] + 1)
             assert d[i][j] in (d[i][j - 1], d[i][j - 1] + 1)
-    pairs = dp_lcss_witness(p, s)
-    assert len(pairs) == d[len(p)][len(s)]
-    assert all(p[i - 1] == s[j - 1] for i, j in pairs)
 
 
 def test_naive_lis_examples():

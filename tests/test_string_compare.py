@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
+from ltss.dynamic_lis import ThresholdStructure
 from ltss.oracle import dp_lcss, lcss_length
 from ltss.string_compare import Comparator, MatchIndex
 
@@ -70,7 +71,6 @@ def test_drop_front_session_mirrors_worked_example():
     assert comp.ts.key_lists() == [[8, 2], [6, 5, 4, 3], [6, 5, 4]]
     comp.append_to_p("A")    # feeds 8 and 2; 2 collapses into its entry
     assert comp.ts.key_lists() == [[8, 2], [6, 5, 4, 3], [6, 5, 4], [8]]
-    assert comp.ts.snapshot()[0] == [(8, (1,)), (2, (2, 12))]
     assert comp.lcss_length == 4
     comp.drop_front_of_s()   # position 2: both stored occurrences go
     assert comp.ts.key_lists() == [[8, 6, 5, 4, 3], [6, 5, 4], [8]]
@@ -172,8 +172,9 @@ class ComparatorMachine(RuleBasedStateMachine):
     front drops and enumerations against the quadratic DP.  After every
     step the match lists hold exactly the positions still in the suffix,
     and the witnesses are distinct maximal pairings, listed in the
-    structure's own enumeration order: an owner table kept here (one
-    prefix index per structure position) is the reference mapping."""
+    enumeration order of a shadow ThresholdStructure fed the same runs
+    and extracts: an owner table kept here (one prefix index per shadow
+    position) is the reference mapping."""
 
     @initialize(s=st.text(alphabet="ABC", min_size=1, max_size=12))
     def start(self, s):
@@ -181,14 +182,16 @@ class ComparatorMachine(RuleBasedStateMachine):
         self.p = ""
         self.front = 0
         self.comp = Comparator(s)
-        self.owner = [None]   # structure position -> prefix index
+        self.shadow = ThresholdStructure()
+        self.owner = [None]   # shadow position -> prefix index
 
     @rule(letter=st.sampled_from("ABCZ"))
     def append_to_p(self, letter):
-        before = self.comp.ts.position_counter
+        before = self.shadow.position_counter
+        self.shadow.extend(list(self.comp.index.by_letter.get(letter, ())))
         self.comp.append_to_p(letter)
         self.p += letter
-        fed = self.comp.ts.position_counter - before
+        fed = self.shadow.position_counter - before
         self.owner += [len(self.p)] * fed
 
     @rule()
@@ -197,8 +200,11 @@ class ComparatorMachine(RuleBasedStateMachine):
             with pytest.raises(ValueError):
                 self.comp.drop_front_of_s()
             return
+        extracts = self.comp.ts.stats.extract_min_calls
         self.comp.drop_front_of_s()
         self.front += 1
+        if self.comp.ts.stats.extract_min_calls > extracts:
+            self.shadow.extract_min()
 
     @rule(limit=st.integers(1, 50))
     def witnesses(self, limit):
@@ -212,7 +218,7 @@ class ComparatorMachine(RuleBasedStateMachine):
             return
         got = [tuple(w) for w in self.comp.witnesses(limit)]
         assert got == [tuple((self.owner[pos], value) for value, pos in seq)
-                       for seq in self.comp.ts.all_lis(limit)]
+                       for seq in self.shadow.all_lis(limit)]
         assert 1 <= len(got) <= limit
         assert len(set(got)) == len(got)
         for pairs in got:
@@ -226,6 +232,7 @@ class ComparatorMachine(RuleBasedStateMachine):
     def matches_oracle(self):
         s, front = self.s, self.front
         assert self.comp.lcss_length == lcss_length(self.p, s[front:])
+        assert self.comp.ts.key_lists() == self.shadow.key_lists()
         assert self.comp.index.by_letter == {
             c: [j for j in range(len(s), front, -1) if s[j - 1] == c]
             for c in set(s)}
