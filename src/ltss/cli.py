@@ -79,23 +79,23 @@ def _print_stats_text(st):
     print("time_ms=%.3f" % (st.elapsed * 1000.0))
 
 
-def _csv(values):
-    return ",".join(map(str, values))
+def _csv(values, to_str=str):
+    return ",".join(map(to_str, values))
 
 
 def cmd_ltss(args):
     f = parse_input(_read_source(args.path), fasta=args.fasta)
+    if args.verify and len(f) > oracle.BITPARALLEL_GUARD:
+        raise InputError("--verify supports strings up to %d letters"
+                         % oracle.BITPARALLEL_GUARD)
     res = compute_ltss(f)
     if args.verify:
-        if len(f) > oracle.TANDEM_GUARD:
-            raise InputError("--verify supports strings up to %d letters"
-                             % oracle.TANDEM_GUARD)
-        naive = oracle.naive_ltss(f)
-        ok = (naive == (res.length, res.split_index)
+        ref = oracle.bitparallel_ltss(f)
+        ok = (ref == (res.length, res.split_index)
               and oracle.validate_tandem(f, res))
         if not ok:
             print("verify mismatch: got length=%d split=%d, oracle length=%d split=%d"
-                  % (res.length, res.split_index, naive[0], naive[1]),
+                  % (res.length, res.split_index, ref[0], ref[1]),
                   file=sys.stderr)
             return 3
     if args.length_only:
@@ -123,8 +123,12 @@ def cmd_ltss(args):
     print("witness=%s" % res.witness)
     print("occ1=%s" % _csv(res.first_occurrence))
     print("occ2=%s" % _csv(res.second_occurrence))
-    for w, a, b in tandems:
-        print("tandem=%s occ1=%s occ2=%s" % (w, _csv(a), _csv(b)))
+    if tandems:
+        # one decimal string per position, shared by every tandem line
+        decimal = list(map(str, range(len(f) + 1))).__getitem__
+        for w, a, b in tandems:
+            print("tandem=%s occ1=%s occ2=%s"
+                  % (w, _csv(a, decimal), _csv(b, decimal)))
     if args.stats:
         _print_stats_text(res.stats)
     return 0
@@ -204,12 +208,12 @@ def cmd_lis(args):
     if args.format == "json":
         payload = {"length": length}
         if sequences:
-            payload["sequences"] = [[[v, p] for v, p in seq] for seq in sequences]
+            payload["sequences"] = [[[v, p] for p, v in seq] for seq in sequences]
         print(json.dumps(payload))
         return 0
     print("length=%d" % length)
     for seq in sequences:
-        print("seq=%s" % ",".join("%d:%d" % (v, p) for v, p in seq))
+        print("seq=%s" % ",".join("%d:%d" % (v, p) for p, v in seq))
     return 0
 
 

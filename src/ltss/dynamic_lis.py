@@ -26,7 +26,11 @@ at once.  Only enumeration reads positions, and positional levels depend
 only on the sequence of surviving appends, so positional_levels() builds
 them from any append-only history with one patience pass (Hunt and
 Szymanski, 1977) and enumerate_lis() walks them: all_lis() feeds the
-log's survivors, a comparator its live match lists.
+log's survivors, a comparator its live match lists.  The walk's windows
+are slices of a level's tags and values, and its items are (tag, value)
+pairs, so a comparator whose tags are prefix positions reads its
+(p, s) witnesses off the walk as they are; all_lis() turns each item
+round to the (value, position) form it reports.
 """
 
 import math
@@ -44,12 +48,13 @@ class Counters:
     and search/structure steps for the scaling checks, tallied once per
     call rather than once per elementary step."""
 
-    __slots__ = ("append_calls", "extract_min_calls", "transfers_out",
-                 "search_steps", "structure_steps")
+    __slots__ = ("append_calls", "extract_min_calls", "cascade_steps",
+                 "transfers_out", "search_steps", "structure_steps")
 
     def __init__(self):
         self.append_calls = 0
         self.extract_min_calls = 0
+        self.cascade_steps = 0     # levels cut by extract cascades
         self.transfers_out = {}    # level k -> entries moved from k to k-1
         self.search_steps = 0      # bisect probes, bounded by bit lengths
         self.structure_steps = 0   # inserts, removals, splits, concatenates
@@ -158,6 +163,7 @@ class ThresholdLevels:
             levels.pop()
             mins.pop()
         stats.extract_min_calls += 1
+        stats.cascade_steps += k - 1
         stats.search_steps += probes
         stats.structure_steps += steps
 
@@ -210,7 +216,8 @@ class ThresholdStructure(ThresholdLevels):
         top-down window walk: the maximal value chain comes first."""
         if self.size == 0:
             raise ValueError("all_lis on empty structure")
-        return islice(enumerate_lis(self._survivor_levels()), limit)
+        return (tuple((v, p) for p, v in seq) for seq in
+                islice(enumerate_lis(self._survivor_levels()), limit))
 
     def _survivor_levels(self):
         killed = self._killed
@@ -237,18 +244,19 @@ def positional_levels(history):
 
 
 def _window(level, value_bound, tag_bound):
-    # Elements of a level below a chosen (value, tag): the run from the
-    # first value at most value_bound up to the first tag not below
-    # tag_bound.  One sharing the chosen tag lies above the value bound.
+    # (tag, value) items of a level below a chosen (value, tag): the slice
+    # from the first value at most value_bound up to the first tag not
+    # below tag_bound.  One sharing the chosen tag lies above the value bound.
     values, tags = level
     start = bisect_left(values, -value_bound, key=neg)
     stop = bisect_left(tags, tag_bound, start)
-    return zip(islice(values, start, stop), islice(tags, start, stop))
+    return zip(tags[start:stop], values[start:stop])
 
 
 def enumerate_lis(levels):
     """Yield every longest strictly increasing subsequence of the levels'
-    history as (value, tag) tuples, the maximal value chain first."""
+    history as a tuple of (tag, value) items, the maximal value chain
+    first."""
     if not levels:
         raise ValueError("no increasing subsequence in an empty history")
     lam = len(levels)
@@ -268,6 +276,6 @@ def enumerate_lis(levels):
         if len(frames) == lam:
             yield tuple(reversed(chosen))
         else:
-            value, tag = item
+            tag, value = item
             frames.append(_window(levels[lam - len(frames) - 1],
                                   value - 1, tag))

@@ -13,6 +13,9 @@ from bisect import bisect_left
 
 ENUMERATION_GUARD = 20
 TANDEM_GUARD = 200
+# longest string `ltss --verify` checks with bitparallel_ltss, whose
+# O(n^3 / word size) scan takes well under a second there
+BITPARALLEL_GUARD = 2000
 
 
 def dp_lcss(p, s):

@@ -77,12 +77,14 @@ class Comparator:
     def witnesses(self, limit=None):
         """Maximal common subsequences as (p_position, s_position) pair
         lists, in enumeration order.  Both coordinates strictly increase
-        along a witness; s positions are original S coordinates."""
+        along a witness; s positions are original S coordinates.  Each
+        match is tagged by its prefix index, so the walk's (tag, value)
+        items are these pairs already."""
         by_letter = self.index.by_letter
         history = ((j, i) for i, letter in enumerate(self.p_letters, 1)
                    for j in by_letter.get(letter, ()))
         for seq in islice(enumerate_lis(positional_levels(history)), limit):
-            yield [(i, j) for j, i in seq]
+            yield list(seq)
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""

@@ -35,6 +35,7 @@ class RunStats:
     matches: int        # equal-letter position pairs fed to the structure
     lambda_max: int
     extract_mins: int
+    cascade_steps: int  # levels cut by the extract cascades
     transfers: dict
     tree_ops: int
     elapsed: float
@@ -65,6 +66,7 @@ def _scan(f):
         matches=st.append_calls,
         lambda_max=best_len,
         extract_mins=st.extract_min_calls,
+        cascade_steps=st.cascade_steps,
         transfers=dict(st.transfers_out),
         tree_ops=st.tree_ops(),
         elapsed=elapsed,
@@ -85,9 +87,10 @@ def replay_split(f, split):
 def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
     maximal tandem at the given split, in enumeration order."""
+    letter = (" " + f).__getitem__     # 1-based positions
     for pairs in replay_split(f, split).witnesses():
         first = [p for p, _ in pairs]
-        yield "".join(f[p - 1] for p in first), first, [s for _, s in pairs]
+        yield "".join(map(letter, first)), first, [s for _, s in pairs]
 
 def compute_ltss(f):
     """Longest subsequence occurring twice without overlap in the str f,

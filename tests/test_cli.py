@@ -2,16 +2,21 @@
 formats, verify/exit codes, and error handling."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from ltss import cli, oracle, tandem
+
+from test_tandem import benchmark_shapes
 
 GOLDEN = "AGCGAACGGGTA"
 
@@ -204,6 +209,41 @@ def test_ltss_scans_once(argv, built, capsys, monkeypatch):
     assert set(strings) == {GOLDEN}
 
 
+def _perfbench_corpus():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the whole stdout of `ltss --enumerate 2000` on the first string
+# of each shape in the seed-0 enumerate corpus of perfbench (n=400, 2000
+# tandems each, 2.1-3.4 MB): witness order, occurrence lists and formatting
+ENUMERATE_2000_DIGESTS = {
+    ("uniform", "text"):
+        "22f8afb5bcd962463a18cb9574f106e2eab58ebdd37b401e38068dd4b7966703",
+    ("palindrome", "text"):
+        "0f8bf285fa80ea52afaeaa6874f3d4f2ce0918ab46a4d92f85db592c8754d7d7",
+    ("periodic", "text"):
+        "9954f35f85951e7faab1b2f92175267fda0aaaaf7ba1d0fd7b7c25b642ec160d",
+    ("periodic", "json"):
+        "22ecb2308695a2fd4e7407c746341e560cfa1a33fe866c76427286280c13e7a5",
+}
+
+
+def test_ltss_enumerate_benchmark_bytes(capsys, monkeypatch):
+    shapes = benchmark_shapes()
+    corpus = _perfbench_corpus().build("enumerate", 0)
+    for (label, fmt), expected in ENUMERATE_2000_DIGESTS.items():
+        f = shapes["enumerate-" + label]
+        assert f == next(item.text for item in corpus if item.label == label)
+        argv = ["ltss", "--format", fmt, "--enumerate", "2000"]
+        assert run_cli(argv, f + "\n", monkeypatch) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, label
+
+
 def test_ltss_fasta_file(capsys, tmp_path):
     path = tmp_path / "f.fa"
     path.write_text(">golden\nAGCGAA\nCGGGTA\n")
@@ -333,10 +373,19 @@ def test_verify_passes(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.oracle, "naive_ltss", lambda f: (99, 0))
+    monkeypatch.setattr(cli.oracle, "bitparallel_ltss", lambda f: (99, 0))
     code = run_cli(["ltss", "--verify"], GOLDEN, monkeypatch)
     assert code == 3
     assert "verify mismatch" in capsys.readouterr().err
+
+
+def test_verify_long_string(capsys, monkeypatch):
+    # past the cubic oracle's guard: --verify checks with the bit-parallel one
+    rng = random.Random(8)
+    f = "".join(rng.choice("ACGT") for _ in range(1000))
+    assert len(f) > oracle.TANDEM_GUARD
+    assert run_cli(["ltss", "--verify", "--length-only"], f, monkeypatch) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("broken", [
@@ -360,7 +409,7 @@ def test_lcss_verify_checks_whole_witness(broken, capsys, monkeypatch):
 
 
 def test_verify_guard(capsys, monkeypatch):
-    big = "AB" * (oracle.TANDEM_GUARD // 2 + 1)
+    big = "AB" * (oracle.BITPARALLEL_GUARD // 2 + 1)
     code = run_cli(["ltss", "--verify"], big, monkeypatch)
     assert code == 2
     assert "error:" in capsys.readouterr().err

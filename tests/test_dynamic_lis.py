@@ -208,6 +208,26 @@ def test_levels_lockstep_with_structure():
             assert lockstep_state(pair[0]) == lockstep_state(pair[1])
 
 
+def test_cascade_steps_count_cut_levels():
+    # every level a cascade cuts moves at least one entry down, so each
+    # extract adds exactly the number of levels whose transfers grew
+    rng = random.Random(43)
+    for _ in range(200):
+        ts = ThresholdLevels()
+        for op in random_ops(rng, rng.randint(1, 80), 12):
+            if op != "x":
+                ts.append(op)
+                continue
+            if not ts.lis_length:
+                continue
+            st = ts.stats
+            before = (st.cascade_steps, dict(st.transfers_out))
+            ts.extract_min()
+            grown = sum(1 for k, moved in st.transfers_out.items()
+                        if moved > before[1].get(k, 0))
+            assert st.cascade_steps == before[0] + grown
+
+
 def test_lis_length_examples():
     assert ThresholdStructure().lis_length == 0
     assert build_structure(WORKED_STREAM).lis_length == 3

@@ -26,7 +26,9 @@ def window(ts, bound, level=0):
     """(value, position) pairs of a level from its largest key at most
     bound on, in position order."""
     levels = ts._survivor_levels()
-    return list(_window(levels[level], bound, INF)) if levels else []
+    if not levels:
+        return []
+    return [(v, p) for p, v in _window(levels[level], bound, INF)]
 
 
 def predecessor(ts, bound, level=0):

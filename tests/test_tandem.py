@@ -204,6 +204,17 @@ def test_stats_golden():
     assert st.elapsed >= 0.0
 
 
+def test_stats_cascade_steps():
+    # GOLDEN's seven extracts cut eight levels: transfers 2:8, 3:4, 4:1
+    st = ltss_stats(GOLDEN)
+    assert st.cascade_steps == 8
+    for f in benchmark_shapes().values():
+        st = ltss_stats(f)
+        assert len(st.transfers) <= st.cascade_steps
+        assert st.cascade_steps <= sum(st.transfers.values())
+        assert st.cascade_steps <= st.extract_mins * (st.lambda_max - 1)
+
+
 def test_stats_all_distinct():
     st = ltss_stats("ABCDEFG")
     assert st.matches == 0
