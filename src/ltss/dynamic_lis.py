@@ -38,7 +38,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice
-from operator import neg
+from operator import add, neg, sub
 
 INF = math.inf
 
@@ -46,18 +46,26 @@ INF = math.inf
 class Counters:
     """Lifetime instrumentation: call counts, per-level transfer totals,
     and search/structure steps for the scaling checks, tallied once per
-    call rather than once per elementary step."""
+    call rather than once per elementary step; an extract tallies its
+    whole cascade from the (width, cut) of every level it cut."""
 
     __slots__ = ("append_calls", "extract_min_calls", "cascade_steps",
-                 "transfers_out", "search_steps", "structure_steps")
+                 "level_transfers", "search_steps", "structure_steps")
 
     def __init__(self):
         self.append_calls = 0
         self.extract_min_calls = 0
         self.cascade_steps = 0     # levels cut by extract cascades
-        self.transfers_out = {}    # level k -> entries moved from k to k-1
+        self.level_transfers = []  # [k-2]: entries moved from level k to k-1
         self.search_steps = 0      # bisect probes, bounded by bit lengths
         self.structure_steps = 0   # inserts, removals, splits, concatenates
+
+    @property
+    def transfers_out(self):
+        """Level k -> entries moved from k to k-1, for every level that has
+        moved any.  A cascade cuts levels 2, 3, ... in turn and each cut
+        moves at least one entry, so the totals have no gaps."""
+        return dict(enumerate(self.level_transfers, 2))
 
     def tree_ops(self):
         """Total elementary operations performed by the structure."""
@@ -95,6 +103,7 @@ class ThresholdLevels:
         its predecessor lands at or below the predecessor's level, so
         within a decreasing run each bisect of the tail chain stops at
         the previous value's level."""
+        n = len(values)     # before any state changes: values must be sized
         mins = self._mins
         levels = self._levels
         probes = 0
@@ -114,7 +123,6 @@ class ThresholdLevels:
                 mins[i] = v
                 levels[i].append(-v)
             prev = v
-        n = len(values)
         stats = self.stats
         stats.append_calls += n
         stats.search_steps += probes
@@ -125,47 +133,55 @@ class ThresholdLevels:
         the tail chain: whenever a level's new minimum is not below the
         tail of the level above, the offending suffix of the upper level
         (its keys at most the lower minimum) moves down one level, merging
-        equal boundary keys."""
+        equal boundary keys.  The level loop only moves slices and records
+        each cut level's (width, cut).  A level the cascade empties is
+        deleted, so every level above it moves down whole, each still
+        counted as a cut level that moves its full width.  The tail chain
+        shifts and the counters are tallied once, after the loop."""
         mins = self._mins
         if not mins:
             raise ValueError("extract_min on empty structure")
         levels = self._levels
         below = levels[0]
+        held = len(below)    # entries on level 1 before the extract
         below.pop()
-        stats = self.stats
-        transfers = stats.transfers_out
-        probes = 0
-        steps = 1
         lam = len(mins)
+        cuts = []       # width, cut of each level the loop cuts, flattened
         k = 1
-        while k < lam:
-            below_min = -below[-1] if below else INF
-            if below_min < mins[k]:
-                break
+        while k < lam and below:
+            tail = below[-1]
             upper = levels[k]
-            width = len(upper)
-            cut = bisect_left(upper, -below_min)
-            probes += width.bit_length()
-            moved = width - cut
-            if below and below[-1] == upper[cut]:
+            if tail > upper[-1]:
+                break
+            cut = bisect_left(upper, tail)
+            if tail == upper[cut]:
                 below.pop()
-                steps += 1
-            below.extend(upper[cut:])
+            below += upper[cut:]
+            cuts += len(upper), cut
             del upper[cut:]
-            steps += 2
-            transfers[k + 1] = transfers.get(k + 1, 0) + moved
-            mins[k - 1] = mins[k]
             below = upper
             k += 1
+        widths = cuts[::2]
+        moved = list(map(sub, widths, cuts[1::2]))
+        # a merge is the one step that drops an entry, so the levels the
+        # loop touched lost the extracted entry plus one per merge
+        removals = held + sum(widths) - sum(map(len, levels[:k]))
+        del mins[0]
         if below:
-            mins[k - 1] = -below[-1]
+            mins.insert(k - 1, -below[-1])
         else:
-            levels.pop()
-            mins.pop()
+            del levels[k - 1]
+            shifted = list(map(len, levels[k - 1:]))
+            widths += shifted
+            moved += shifted
+        stats = self.stats
         stats.extract_min_calls += 1
-        stats.cascade_steps += k - 1
-        stats.search_steps += probes
-        stats.structure_steps += steps
+        stats.cascade_steps += len(widths)
+        stats.search_steps += sum(map(int.bit_length, widths))
+        stats.structure_steps += removals + 2 * len(widths)
+        totals = stats.level_transfers
+        totals += [0] * (len(widths) - len(totals))
+        totals[:len(widths)] = map(add, totals, moved)
 
 
 class ThresholdStructure(ThresholdLevels):
@@ -255,7 +271,7 @@ def _window(level, value_bound, tag_bound):
 
 def enumerate_lis(levels):
     """Yield every longest strictly increasing subsequence of the levels'
-    history as a tuple of (tag, value) items, the maximal value chain
+    history as a new list of (tag, value) items, the maximal value chain
     first."""
     if not levels:
         raise ValueError("no increasing subsequence in an empty history")
@@ -274,7 +290,7 @@ def enumerate_lis(levels):
         else:
             chosen.append(item)
         if len(frames) == lam:
-            yield tuple(reversed(chosen))
+            yield chosen[::-1]
         else:
             tag, value = item
             frames.append(_window(levels[lam - len(frames) - 1],

@@ -79,12 +79,11 @@ class Comparator:
         lists, in enumeration order.  Both coordinates strictly increase
         along a witness; s positions are original S coordinates.  Each
         match is tagged by its prefix index, so the walk's (tag, value)
-        items are these pairs already."""
+        items are these pairs already, and its lists are the witnesses."""
         by_letter = self.index.by_letter
         history = ((j, i) for i, letter in enumerate(self.p_letters, 1)
                    for j in by_letter.get(letter, ()))
-        for seq in islice(enumerate_lis(positional_levels(history)), limit):
-            yield list(seq)
+        yield from islice(enumerate_lis(positional_levels(history)), limit)
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""

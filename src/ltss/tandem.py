@@ -9,6 +9,7 @@ a witness and its two disjoint occurrences.
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .string_compare import Comparator
 
@@ -87,10 +88,12 @@ def replay_split(f, split):
 def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
     maximal tandem at the given split, in enumeration order."""
-    letter = (" " + f).__getitem__     # 1-based positions
+    padded = " " + f     # 1-based positions
     for pairs in replay_split(f, split).witnesses():
         first = [p for p, _ in pairs]
-        yield "".join(map(letter, first)), first, [s for _, s in pairs]
+        # one letter comes back bare, and joins to itself
+        yield ("".join(itemgetter(*first)(padded)), first,
+               [s for _, s in pairs])
 
 def compute_ltss(f):
     """Longest subsequence occurring twice without overlap in the str f,

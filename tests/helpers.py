@@ -1,6 +1,8 @@
 """Shared test plumbing: structure builders and randomized trace drivers."""
 
-from ltss.dynamic_lis import ThresholdStructure
+from bisect import bisect_left
+
+from ltss.dynamic_lis import INF, ThresholdLevels, ThresholdStructure
 
 WORKED_STREAM = [8, 2, 1, 6, 5, 4, 3, 6, 5, 4]
 
@@ -27,3 +29,55 @@ def drop_min(shadow):
     """Shadow-list extract: delete every occurrence of the minimum."""
     m = min(shadow)
     shadow[:] = [x for x in shadow if x != m]
+
+
+class ReferenceLevels(ThresholdLevels):
+    """Threshold levels whose extract cascade steps one level at a time,
+    shifting the tail chain and tallying every counter per step, as the
+    cascade first did; the reference for the batched cascade."""
+
+    __slots__ = ()
+
+    def extract_min(self):
+        mins = self._mins
+        if not mins:
+            raise ValueError("extract_min on empty structure")
+        levels = self._levels
+        below = levels[0]
+        below.pop()
+        stats = self.stats
+        totals = stats.level_transfers
+        probes = 0
+        steps = 1
+        lam = len(mins)
+        k = 1
+        while k < lam:
+            below_min = -below[-1] if below else INF
+            if below_min < mins[k]:
+                break
+            upper = levels[k]
+            width = len(upper)
+            cut = bisect_left(upper, -below_min)
+            probes += width.bit_length()
+            moved = width - cut
+            if below and below[-1] == upper[cut]:
+                below.pop()
+                steps += 1
+            below.extend(upper[cut:])
+            del upper[cut:]
+            steps += 2
+            if len(totals) < k:
+                totals.append(0)
+            totals[k - 1] += moved
+            mins[k - 1] = mins[k]
+            below = upper
+            k += 1
+        if below:
+            mins[k - 1] = -below[-1]
+        else:
+            levels.pop()
+            mins.pop()
+        stats.extract_min_calls += 1
+        stats.cascade_steps += k - 1
+        stats.search_steps += probes
+        stats.structure_steps += steps

@@ -14,7 +14,8 @@ from ltss.dynamic_lis import INF, Counters, ThresholdLevels, ThresholdStructure
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
                          threshold_stacks)
 
-from helpers import WORKED_STREAM, build_structure, drop_min, random_ops
+from helpers import (WORKED_STREAM, ReferenceLevels, build_structure,
+                     drop_min, random_ops)
 
 # the six longest increasing subsequences of the worked stream after one
 # extract-min and appends of 8 and 2, in enumeration order
@@ -147,6 +148,20 @@ def test_append_batch_value_equal_to_lower_tail():
     assert batched.snapshot() == plain.snapshot()
 
 
+def test_extend_unsized_leaves_state_alone():
+    ts = build_structure([6, 2, 9])
+    before = (ts.key_lists(), ts.size, ts.position_counter,
+              [getattr(ts.stats, name) for name in Counters.__slots__])
+    with pytest.raises(TypeError):
+        ts.extend(iter([5, 3, 4]))
+    assert (ts.key_lists(), ts.size, ts.position_counter,
+            [getattr(ts.stats, name) for name in Counters.__slots__]) == before
+    empty = ThresholdStructure()
+    with pytest.raises(TypeError):
+        empty.extend(iter([5, 3, 4]))
+    assert (empty.lis_length, empty.size, empty.position_counter) == (0, 0, 0)
+
+
 def test_extend_runs_survive_extracts():
     # every run of appends between two extracts goes in as one extend
     rng = random.Random(7)
@@ -173,29 +188,35 @@ def test_extend_runs_survive_extracts():
 
 def lockstep_state(ts):
     st = ts.stats
-    return (ts.key_lists(), ts.lis_length, ts.min_value(),
+    return (ts.key_lists(), ts.lis_length, ts.min_value(), st.transfers_out,
             [getattr(st, name) for name in Counters.__slots__])
 
 
 def test_levels_lockstep_with_structure():
-    # the keys-only levels the scan drives and the logged structure agree
-    # on every key and every counter after each step of a mixed trace
+    # the keys-only levels the scan drives, the logged structure and the
+    # reference cascade that steps level by level agree on every key and
+    # every counter after each step of a mixed trace; odd traces end by
+    # draining the structure, and an extract that empties level 1 below
+    # higher levels must shift those levels whole
     rng = random.Random(41)
-    for _ in range(200):
-        pair = (ThresholdLevels(), ThresholdStructure())
-        for _ in range(rng.randint(1, 60)):
-            roll = rng.random()
+    whole_shifts = 0
+    for trace in range(200):
+        trio = (ReferenceLevels(), ThresholdLevels(), ThresholdStructure())
+        steps = rng.randint(1, 60)
+        for step in range(steps + 60 * (trace % 2)):
+            roll = rng.random() if step < steps else 0.0
             if roll < 0.3:
-                empty = not pair[1].size
-                for ts in pair:
-                    if empty:
+                keys = trio[0].key_lists()
+                whole_shifts += len(keys) > 1 and len(keys[0]) == 1
+                for ts in trio:
+                    if not keys:
                         with pytest.raises(ValueError):
                             ts.extract_min()
                     else:
                         ts.extract_min()
             elif roll < 0.5:
                 value = rng.randint(1, 15)
-                for ts in pair:
+                for ts in trio:
                     ts.append(value)
             else:
                 if roll < 0.75:
@@ -203,9 +224,12 @@ def test_levels_lockstep_with_structure():
                                  reverse=True)
                 else:
                     run = [rng.randint(1, 15) for _ in range(rng.randint(0, 8))]
-                for ts in pair:
+                for ts in trio:
                     ts.extend(run)
-            assert lockstep_state(pair[0]) == lockstep_state(pair[1])
+            reference = lockstep_state(trio[0])
+            assert lockstep_state(trio[1]) == reference
+            assert lockstep_state(trio[2]) == reference
+    assert whole_shifts >= 100
 
 
 def test_cascade_steps_count_cut_levels():

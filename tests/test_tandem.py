@@ -14,7 +14,8 @@ import pytest
 from ltss import tandem
 from ltss.oracle import bitparallel_ltss, naive_ltss, validate_tandem
 from ltss.string_compare import Comparator
-from ltss.tandem import compute_ltss, ltss_stats, replay_split, split_tandems
+from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
+                         split_tandems)
 
 GOLDEN = "AGCGAACGGGTA"
 
@@ -173,6 +174,14 @@ def test_split_tandems_follow_scan_enumeration():
         assert got == expected
         assert got[0] == (res.witness, res.first_occurrence,
                           res.second_occurrence)
+
+
+def test_split_tandems_single_letter_witnesses():
+    # a one-position witness takes its letter through a single-key lookup
+    assert list(split_tandems("AA", 1)) == [("A", [1], [2])]
+    assert list(split_tandems("ABBA", 2)) == [("A", [1], [4]),
+                                              ("B", [2], [3])]
+    assert compute_ltss("AA") == LtssResult(1, 1, "A", [1], [2])
 
 
 def test_compute_ltss_accepts_str_only(monkeypatch):
