@@ -15,7 +15,7 @@ from itertools import count, islice
 
 from . import oracle
 from .dynamic_lis import enumerate_lis, positional_levels
-from .string_compare import Comparator
+from .string_compare import MatchIndex
 from .tandem import compute_ltss, split_tandems
 
 
@@ -135,12 +135,10 @@ def cmd_ltss(args):
 
 
 def cmd_lcss(args):
-    comp = Comparator(args.s)
-    for ch in args.p:
-        comp.append_to_p(ch)
-    length = comp.lcss_length
+    levels = MatchIndex(args.s).levels(args.p)
+    length = len(levels)
     # one enumeration per request; its first item is the reported witness
-    found = comp.witnesses(limit=args.enumerate or 1)
+    found = islice(enumerate_lis(levels), args.enumerate or 1)
     pairs = next(found) if length else []
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
@@ -181,10 +179,10 @@ def cmd_lcss(args):
     for alt in alternatives:
         print("pairs=%s" % ",".join("%d:%d" % pair for pair in alt))
     if args.stats:
-        st = comp.ts.stats
-        print("matches=%d" % st.append_calls)
+        # counts of the one build: every equal-letter pair; nothing leaves S
+        print("matches=%d" % sum(len(tags) for _, tags in levels))
         print("lambda_max=%d" % length)
-        print("extract_mins=%d" % st.extract_min_calls)
+        print("extract_mins=0")
     return 0
 
 

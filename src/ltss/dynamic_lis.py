@@ -26,9 +26,9 @@ at once.  Only enumeration reads positions, and positional levels depend
 only on the sequence of surviving appends, so positional_levels() builds
 them from any append-only history with one patience pass (Hunt and
 Szymanski, 1977) and enumerate_lis() walks them: all_lis() feeds the
-log's survivors, a comparator its live match lists.  The walk's windows
+log's survivors, a MatchIndex its match lists.  The walk's windows
 are slices of a level's tags and values, and its items are (tag, value)
-pairs, so a comparator whose tags are prefix positions reads its
+pairs, so a match history tagged by prefix positions gives its
 (p, s) witnesses off the walk as they are; all_lis() turns each item
 round to the (value, position) form it reports.
 """
@@ -277,21 +277,18 @@ def enumerate_lis(levels):
         raise ValueError("no increasing subsequence in an empty history")
     lam = len(levels)
     frames = [_window(levels[-1], INF, INF)]
-    chosen = []
+    chosen = [None]      # the item taken from each open window
     while frames:
         item = next(frames[-1], None)
         if item is None:
             frames.pop()
-            if len(chosen) > len(frames):
-                chosen.pop()
+            chosen.pop()
             continue
-        if len(chosen) == len(frames):
-            chosen[-1] = item
-        else:
-            chosen.append(item)
+        chosen[-1] = item
         if len(frames) == lam:
             yield chosen[::-1]
         else:
             tag, value = item
             frames.append(_window(levels[lam - len(frames) - 1],
                                   value - 1, tag))
+            chosen.append(None)

@@ -9,7 +9,8 @@ a single extract-min (or nothing at all, when the dropped position was
 never matched).  Positions keep their original 1-based S coordinates
 throughout; nothing is ever renumbered.  The structure keeps keys only:
 the live match lists, in prefix order, are exactly its surviving appends,
-so witnesses feed them to the positional build as they are.
+so MatchIndex.levels builds P's positional levels from them; `ltss lcss`,
+which never drops a letter, answers from that one build alone.
 """
 
 from itertools import islice
@@ -18,10 +19,9 @@ from .dynamic_lis import ThresholdLevels, enumerate_lis, positional_levels
 
 
 class MatchIndex:
-    """Per-letter match positions over S, each list strictly decreasing.
-
-    The lists hold exactly the positions still inside the suffix: a
-    comparator pops each position off its letter's list as it drops it."""
+    """Per-letter match positions over S, each list strictly decreasing,
+    holding exactly the positions still in the suffix: a comparator pops
+    each one off its letter's list as it drops it."""
 
     __slots__ = ("by_letter",)
 
@@ -30,6 +30,13 @@ class MatchIndex:
         for j in range(len(s), 0, -1):
             by_letter.setdefault(s[j - 1], []).append(j)
         self.by_letter = by_letter
+
+    def levels(self, p):
+        """One positional build of p over the current lists: each letter
+        of p, its positions largest first, tagged by its 1-based index in
+        p.  There is one level per LCS letter; walk items are (p, s)."""
+        return positional_levels((j, i) for i, letter in enumerate(p, 1)
+                                 for j in self.by_letter.get(letter, ()))
 
 
 class Comparator:
@@ -77,13 +84,10 @@ class Comparator:
     def witnesses(self, limit=None):
         """Maximal common subsequences as (p_position, s_position) pair
         lists, in enumeration order.  Both coordinates strictly increase
-        along a witness; s positions are original S coordinates.  Each
-        match is tagged by its prefix index, so the walk's (tag, value)
-        items are these pairs already, and its lists are the witnesses."""
-        by_letter = self.index.by_letter
-        history = ((j, i) for i, letter in enumerate(self.p_letters, 1)
-                   for j in by_letter.get(letter, ()))
-        yield from islice(enumerate_lis(positional_levels(history)), limit)
+        along a witness; s positions are original S coordinates.  The
+        levels are built on the first item, over the live lists."""
+        levels = self.index.levels(self.p_letters)
+        yield from islice(enumerate_lis(levels), limit)
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""

@@ -78,6 +78,8 @@ def replay_split(f, split):
     appends alone: the front reaches split while the structure is empty,
     so no drop extracts anything.  The state (keys, positions up to rank)
     depends only on the survivors' sequence, so it equals the scan's."""
+    if not 0 <= split <= len(f):
+        raise ValueError("split %d outside 0..%d" % (split, len(f)))
     comp = Comparator(f)
     for _ in range(split):
         comp.drop_front_of_s()

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ltss import cli, oracle, tandem
+from ltss import cli, oracle, string_compare, tandem
 
 from test_tandem import benchmark_shapes
 
@@ -319,12 +319,14 @@ def test_lis_values_beyond_64_bits(fmt, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+# two 40-letter strings drawn with random.Random(5)
+DNA_P = "GGATCACAGTCTACACTGCTCACTCCAACCCCGGCCCCTG"
+DNA_S = "AGTCCGAGGAGAGGGTGCTTCAGAGTATGTATACCACTGG"
+
+
 def test_lcss_enumerate_dna_bytes(capsys):
-    # two 40-letter strings drawn with random.Random(5); 50 witnesses of
-    # length 23, pinned by digest
-    p = "GGATCACAGTCTACACTGCTCACTCCAACCCCGGCCCCTG"
-    s = "AGTCCGAGGAGAGGGTGCTTCAGAGTATGTATACCACTGG"
-    assert cli.main(["lcss", "--enumerate", "50", p, s]) == 0
+    # 50 witnesses of length 23, pinned by digest
+    assert cli.main(["lcss", "--enumerate", "50", DNA_P, DNA_S]) == 0
     out = capsys.readouterr().out
     assert out.startswith(
         "length=23\nwitness=GTCCAGAATGCTTCAAGGCCCTG\n"
@@ -333,6 +335,51 @@ def test_lcss_enumerate_dna_bytes(capsys):
     assert out.count("\npairs=") == 50
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3409fef108dfad5afcd0ab20066960c5cb333a4315bf964c5a6191f53ecd93f4")
+
+
+# lcss --stats counts its one build: matches is the number of equal-letter
+# (p, s) pairs, lambda_max the length, and nothing ever leaves S
+@pytest.mark.parametrize("argv,expected", [
+    (["AGCG", "AACGGGTA"],
+     LCSS_HEAD + "matches=10\nlambda_max=3\nextract_mins=0\n"),
+    (["ABC", "XYZ"],
+     "length=0\nwitness=\np_positions=\ns_positions=\n"
+     "matches=0\nlambda_max=0\nextract_mins=0\n"),
+])
+def test_lcss_stats_bytes(argv, expected, capsys):
+    assert cli.main(["lcss", "--stats"] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_lcss_stats_enumerate_dna_bytes(capsys):
+    assert cli.main(["lcss", "--stats", "--enumerate", "50", DNA_P, DNA_S]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("matches=367\nlambda_max=23\nextract_mins=0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "256d6ea6b214d7460faaf96e05283f080ef9484b3da8d468a2a9738409fc025f")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--format", "json"], ["--stats"], ["--length-only"],
+    ["--verify", "--enumerate", "5"],
+])
+def test_lcss_builds_no_comparator(argv, capsys, monkeypatch):
+    # lcss never drops a letter, so its one positional build answers it
+    strings = []
+    real = string_compare.Comparator.__init__
+
+    def counting(self, s):
+        strings.append(s)
+        real(self, s)
+
+    monkeypatch.setattr(string_compare.Comparator, "__init__", counting)
+    assert not hasattr(cli, "Comparator")
+    assert cli.main(["lcss"] + argv + ["AGCG", "AACGGGTA"]) == 0
+    assert strings == []
+    # the count does see the comparators that ltss builds
+    assert run_cli(["ltss", "--length-only"], GOLDEN, monkeypatch) == 0
+    capsys.readouterr()
+    assert strings and set(strings) == {GOLDEN}
 
 
 def test_lcss_empty_result(capsys):
@@ -395,13 +442,13 @@ def test_verify_long_string(capsys, monkeypatch):
 ], ids=["reversed", "one-pair-short", "pair-repeated"])
 def test_lcss_verify_checks_whole_witness(broken, capsys, monkeypatch):
     # each broken witness still pairs equal letters only
-    real = cli.Comparator.witnesses
+    real = cli.enumerate_lis
 
-    def witnesses(self, limit=None):
-        for pairs in real(self, limit):
+    def enumerate_lis(levels):
+        for pairs in real(levels):
             yield broken(pairs)
 
-    monkeypatch.setattr(cli.Comparator, "witnesses", witnesses)
+    monkeypatch.setattr(cli, "enumerate_lis", enumerate_lis)
     assert cli.main(["lcss", "--verify", "AGCG", "AACGGGTA"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -184,6 +184,33 @@ def test_split_tandems_single_letter_witnesses():
     assert compute_ltss("AA") == LtssResult(1, 1, "A", [1], [2])
 
 
+def test_split_out_of_range_is_rejected(monkeypatch):
+    # split -1 would pair f[:-1] with all of f, and a split past the end
+    # would drop letters until the suffix ran out
+    built = []
+
+    class Counting(Comparator):
+        __slots__ = ()
+
+        def __init__(self, s):
+            built.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(tandem, "Comparator", Counting)
+    for split in (-4, -1, 5, 7):
+        with pytest.raises(ValueError, match="split %d outside 0..4" % split):
+            replay_split("ABAB", split)
+        with pytest.raises(ValueError, match="split %d outside" % split):
+            next(split_tandems("ABAB", split))
+    assert built == []
+    # both ends stay in range: an empty prefix and an empty suffix
+    for split in (0, 4):
+        comp = replay_split("ABAB", split)
+        assert (comp.front, comp.p_len, comp.lcss_length) == (split, split, 0)
+    assert list(split_tandems("ABAB", 2)) == [("AB", [1, 2], [3, 4])]
+    assert built == ["ABAB"] * 3
+
+
 def test_compute_ltss_accepts_str_only(monkeypatch):
     def no_scan(f):
         raise AssertionError("scanned a rejected input")
