@@ -159,6 +159,9 @@ def cmd_lcss(args):
         return 0
     witness = "".join(args.p[i - 1] for i, _ in pairs)
     alternatives = [pairs] + list(found) if args.enumerate and length else []
+    # counts of the one build: every equal-letter pair; nothing leaves S
+    stats = {"matches": sum(len(tags) for _, tags in levels),
+             "lambdaMax": length, "extractMins": 0} if args.stats else None
     if args.format == "json":
         payload = {
             "length": length,
@@ -166,6 +169,8 @@ def cmd_lcss(args):
             "pPositions": [i for i, _ in pairs],
             "sPositions": [j for _, j in pairs],
         }
+        if stats:
+            payload["stats"] = stats
         if alternatives:
             payload["witnesses"] = [
                 {"pPositions": [i for i, _ in alt],
@@ -178,11 +183,9 @@ def cmd_lcss(args):
     print("s_positions=%s" % _csv(j for _, j in pairs))
     for alt in alternatives:
         print("pairs=%s" % ",".join("%d:%d" % pair for pair in alt))
-    if args.stats:
-        # counts of the one build: every equal-letter pair; nothing leaves S
-        print("matches=%d" % sum(len(tags) for _, tags in levels))
-        print("lambda_max=%d" % length)
-        print("extract_mins=0")
+    if stats:
+        print("matches=%(matches)d\nlambda_max=%(lambdaMax)d\n"
+              "extract_mins=%(extractMins)d" % stats)
     return 0
 
 

@@ -3,15 +3,16 @@
 Scan every prefix/suffix split of the input: at step t the comparator
 drops letter t off the suffix and appends it to the prefix, so the tracked
 length is the common-subsequence length of F[1..t] against F[t+1..n].  The
-best split (earliest on ties) is then rebuilt by appends alone to recover
-a witness and its two disjoint occurrences.
+best split (earliest on ties) then yields a witness and its two disjoint
+occurrences from one positional build of F[1..t] over F[t+1..n].
 """
 
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .string_compare import Comparator
+from .dynamic_lis import enumerate_lis
+from .string_compare import Comparator, MatchIndex
 
 
 @dataclass
@@ -74,10 +75,10 @@ def _scan(f):
     )
 
 def replay_split(f, split):
-    """Fresh comparator holding f[:split] against f[split:], built by
-    appends alone: the front reaches split while the structure is empty,
-    so no drop extracts anything.  The state (keys, positions up to rank)
-    depends only on the survivors' sequence, so it equals the scan's."""
+    """Comparator holding f[:split] against f[split:], for callers that
+    keep driving it; the tandem path builds none.  Appends alone reach the
+    scan's state: no drop extracts, as the front reaches split while the
+    structure is empty, and the state depends only on the survivors."""
     if not 0 <= split <= len(f):
         raise ValueError("split %d outside 0..%d" % (split, len(f)))
     comp = Comparator(f)
@@ -89,9 +90,19 @@ def replay_split(f, split):
 
 def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
-    maximal tandem at the given split, in enumeration order."""
+    maximal tandem at the split, in enumeration order, from one positional
+    build; a split with no common letter yields the one empty tandem."""
+    if not 0 <= split <= len(f):
+        raise ValueError("split %d outside 0..%d" % (split, len(f)))
+    index = MatchIndex(f)
+    for letter in f[:split]:
+        index.by_letter[letter].pop()   # the list tail, as a drop pops it
+    levels = index.levels(f[:split])
+    if not levels:
+        yield ("", [], [])
+        return
     padded = " " + f     # 1-based positions
-    for pairs in replay_split(f, split).witnesses():
+    for pairs in enumerate_lis(levels):
         first = [p for p, _ in pairs]
         # one letter comes back bare, and joins to itself
         yield ("".join(itemgetter(*first)(padded)), first,
@@ -103,8 +114,6 @@ def compute_ltss(f):
     if not isinstance(f, str):
         raise TypeError("compute_ltss expects a str, got %s" % type(f).__name__)
     best_len, best_split, stats = _scan(f)
-    if best_len == 0:
-        return LtssResult(0, 0, "", [], [], stats)
     witness, first, second = next(split_tandems(f, best_split))
     return LtssResult(best_len, best_split, witness, first, second, stats)
 

@@ -188,9 +188,11 @@ def test_ltss_output_bytes(argv, expected, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,built", [
-    (["--format", "json"], 2),                       # scan + witness replay
-    (["--stats"], 2),
-    (["--format", "json", "--enumerate", "3"], 3),   # + enumeration replay
+    (["--format", "json"], 1),      # the scan's; tandems need no comparator
+    (["--stats"], 1),
+    (["--format", "json", "--enumerate", "3"], 1),
+    (["--enumerate", "3"], 1),
+    (["--length-only"], 1),
 ])
 def test_ltss_scans_once(argv, built, capsys, monkeypatch):
     strings = []
@@ -348,6 +350,22 @@ def test_lcss_enumerate_dna_bytes(capsys):
 ])
 def test_lcss_stats_bytes(argv, expected, capsys):
     assert cli.main(["lcss", "--stats"] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+# with --format json the same three counts ride in a stats object, which
+# the payload carries only when --stats is given
+@pytest.mark.parametrize("argv,expected", [
+    (["AGCG", "AACGGGTA"],
+     '{"length": 3, "witness": "AGG", "pPositions": [1, 2, 4], '
+     '"sPositions": [2, 5, 6], "stats": {"matches": 10, "lambdaMax": 3, '
+     '"extractMins": 0}}\n'),
+    (["ABC", "XYZ"],
+     '{"length": 0, "witness": "", "pPositions": [], "sPositions": [], '
+     '"stats": {"matches": 0, "lambdaMax": 0, "extractMins": 0}}\n'),
+])
+def test_lcss_stats_json_bytes(argv, expected, capsys):
+    assert cli.main(["lcss", "--stats", "--format", "json"] + argv) == 0
     assert capsys.readouterr().out == expected
 
 

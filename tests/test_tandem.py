@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from ltss import tandem
+from ltss import string_compare, tandem
 from ltss.oracle import bitparallel_ltss, naive_ltss, validate_tandem
 from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
@@ -120,12 +120,21 @@ def witness_list(comp, limit):
     return list(comp.witnesses(limit)) if comp.lcss_length else []
 
 
+def as_tandem(f, pairs):
+    first = [p for p, _ in pairs]
+    return "".join(f[p - 1] for p in first), first, [s for _, s in pairs]
+
+
 def check_replay(f, split, limit):
     comp = replay_split(f, split)
     ref = scan_replay(f, split)
     assert (comp.front, comp.p_len) == (ref.front, ref.p_len) == (split, split)
     assert comp.lcss_length == ref.lcss_length
-    assert witness_list(comp, limit) == witness_list(ref, limit)
+    expected = witness_list(ref, limit)
+    assert witness_list(comp, limit) == expected
+    # a split with no common letter has the one empty tandem
+    tandems = [as_tandem(f, pairs) for pairs in expected] or [("", [], [])]
+    assert list(itertools.islice(split_tandems(f, split), limit)) == tandems
     stats = comp.ts.stats
     assert stats.extract_min_calls == 0
     before, after = Counter(f[:split]), Counter(f[split:])
@@ -165,11 +174,8 @@ def test_split_tandems_follow_scan_enumeration():
         res = compute_ltss(f)
         if not res.length:
             continue
-        expected = []
-        for pairs in scan_replay(f, res.split_index).witnesses(limit=300):
-            first = [p for p, _ in pairs]
-            expected.append(("".join(f[p - 1] for p in first), first,
-                             [s for _, s in pairs]))
+        expected = [as_tandem(f, pairs) for pairs in
+                    scan_replay(f, res.split_index).witnesses(limit=300)]
         got = list(itertools.islice(split_tandems(f, res.split_index), 300))
         assert got == expected
         assert got[0] == (res.witness, res.first_occurrence,
@@ -182,6 +188,31 @@ def test_split_tandems_single_letter_witnesses():
     assert list(split_tandems("ABBA", 2)) == [("A", [1], [4]),
                                               ("B", [2], [3])]
     assert compute_ltss("AA") == LtssResult(1, 1, "A", [1], [2])
+
+
+def test_split_tandems_zero_length_splits():
+    # the empty prefix, the empty suffix, and a split with no common letter
+    for f, split in (("AB", 1), ("ABAB", 0), ("ABAB", 4)):
+        assert list(split_tandems(f, split)) == [("", [], [])]
+
+
+def test_split_tandems_builds_no_comparator(monkeypatch):
+    # the tandems of a split come from one positional build; the scan's
+    # comparator is the only one a tandem request constructs
+    built = []
+    real = string_compare.Comparator.__init__
+
+    def counting(self, s):
+        built.append(s)
+        real(self, s)
+
+    monkeypatch.setattr(string_compare.Comparator, "__init__", counting)
+    for split in range(1, len(GOLDEN)):
+        assert next(split_tandems(GOLDEN, split))[0]
+    assert built == []
+    assert compute_ltss(GOLDEN).witness == "AGGA"
+    assert compute_ltss("ABCDEFG").length == 0
+    assert built == [GOLDEN, "ABCDEFG"]
 
 
 def test_split_out_of_range_is_rejected(monkeypatch):
@@ -208,7 +239,8 @@ def test_split_out_of_range_is_rejected(monkeypatch):
         comp = replay_split("ABAB", split)
         assert (comp.front, comp.p_len, comp.lcss_length) == (split, split, 0)
     assert list(split_tandems("ABAB", 2)) == [("AB", [1, 2], [3, 4])]
-    assert built == ["ABAB"] * 3
+    # only the two direct replay_split calls build a comparator
+    assert built == ["ABAB"] * 2
 
 
 def test_compute_ltss_accepts_str_only(monkeypatch):
