@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import count, islice
+from itertools import islice
 
 from . import oracle
 from .dynamic_lis import enumerate_lis, positional_levels
@@ -192,7 +192,7 @@ def cmd_lcss(args):
 def cmd_lis(args):
     if any(v < 1 for v in args.values):
         raise InputError("lis values must be positive integers")
-    levels = positional_levels(zip(args.values, count(1)))
+    levels = positional_levels(enumerate(zip(args.values), 1))
     length = len(levels)
     if args.verify:
         ref = oracle.patience_lis(args.values)

@@ -24,17 +24,16 @@ rather than in the levels: the value at position p is the p-th value ever
 appended, and an extract-min kills every logged occurrence of its value
 at once.  Only enumeration reads positions, and positional levels depend
 only on the sequence of surviving appends, so positional_levels() builds
-them from any append-only history with one patience pass (Hunt and
-Szymanski, 1977) and enumerate_lis() walks them: all_lis() feeds the
-log's survivors, a MatchIndex its match lists.  The walk's windows
-are slices of a level's tags and values, and its items are (tag, value)
-pairs, so a match history tagged by prefix positions gives its
-(p, s) witnesses off the walk as they are; all_lis() turns each item
-round to the (value, position) form it reports.
+them from (tag, values) runs with one patience pass (Hunt and Szymanski,
+1977) and enumerate_lis() walks them: all_lis() feeds each survivor of
+the log as a run of one, a MatchIndex each prefix letter's live match
+list as it is, the same run the scan's comparator feeds extend().  The
+walk's windows are slices of a level's tags and values, and its items
+are (tag, value) pairs, so match runs tagged by prefix positions give
+their (p, s) witnesses as they are; all_lis() turns each item round.
 """
 
 import math
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice
@@ -237,25 +236,26 @@ class ThresholdStructure(ThresholdLevels):
 
     def _survivor_levels(self):
         killed = self._killed
-        return positional_levels((v, p) for p, v in enumerate(self._log, 1)
+        return positional_levels((p, (v,)) for p, v in enumerate(self._log, 1)
                                  if p > killed.get(v, 0))
 
 
-def positional_levels(history):
-    """Levels of an append-only history of (value, tag) pairs, tags
-    non-decreasing and values decreasing within a tag: level k is the
+def positional_levels(runs):
+    """Levels of an append-only history of (tag, values) runs, tags
+    increasing and values falling within a run: level k is the
     (values, tags) of its elements in history order, values falling."""
     tails, values, tags = [], [], []
-    for v, t in history:
-        k = bisect_left(tails, v)
-        if k == len(tails):
-            tails.append(v)
-            values.append([v])
-            tags.append(array("q", (t,)))
-        else:
-            tails[k] = v
-            values[k].append(v)
-            tags[k].append(t)
+    for t, run in runs:
+        for v in run:
+            k = bisect_left(tails, v)
+            if k == len(tails):
+                tails.append(v)
+                values.append([v])
+                tags.append([t])
+            else:
+                tails[k] = v
+                values[k].append(v)
+                tags[k].append(t)
     return list(zip(values, tags))
 
 

@@ -32,11 +32,11 @@ class MatchIndex:
         self.by_letter = by_letter
 
     def levels(self, p):
-        """One positional build of p over the current lists: each letter
-        of p, its positions largest first, tagged by its 1-based index in
-        p.  There is one level per LCS letter; walk items are (p, s)."""
-        return positional_levels((j, i) for i, letter in enumerate(p, 1)
-                                 for j in self.by_letter.get(letter, ()))
+        """One positional build of p over the current lists: one run per
+        letter of p, its live list as it is, tagged by its 1-based index
+        in p.  There is one level per LCS letter; walk items are (p, s)."""
+        return positional_levels((i, self.by_letter.get(letter, ()))
+                                 for i, letter in enumerate(p, 1))
 
 
 class Comparator:

@@ -321,6 +321,24 @@ def test_lis_values_beyond_64_bits(fmt, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+# sha256 of the whole stdout of `lis --enumerate 500` on 300 values drawn
+# with random.Random(12) from 1..40: length 27, then 500 sequences
+@pytest.mark.parametrize("fmt,head,digest", [
+    ("text", "length=27\n",
+     "2720223440f0c94820678a9bc9970d77401440fa6a545f695adb5997195e028b"),
+    ("json", '{"length": 27, ',
+     "cec5238bfbc23185dd122610c8cda04807b74c484daf09a3f77e83dc4f3173e4"),
+])
+def test_lis_enumerate_random_bytes(fmt, head, digest, capsys):
+    rng = random.Random(12)
+    values = [str(rng.randint(1, 40)) for _ in range(300)]
+    argv = ["lis", "--format", fmt, "--enumerate", "500", *values]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(head)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # two 40-letter strings drawn with random.Random(5)
 DNA_P = "GGATCACAGTCTACACTGCTCACTCCAACCCCGGCCCCTG"
 DNA_S = "AGTCCGAGGAGAGGGTGCTTCAGAGTATGTATACCACTGG"

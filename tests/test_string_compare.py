@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
-from ltss.dynamic_lis import ThresholdStructure
+from ltss.dynamic_lis import (ThresholdLevels, ThresholdStructure,
+                              positional_levels)
 from ltss.oracle import dp_lcss, lcss_length
 from ltss.string_compare import Comparator, MatchIndex
 
@@ -165,6 +166,33 @@ def test_random_interleavings_match_dp():
             assert all(a < b for a, b in zip(ss, ss[1:]))
             assert all(p[i - 1] == s[j - 1] for i, j in pairs)
             assert all(j > front for j in ss)
+
+
+def test_match_runs_build_the_threshold_levels():
+    # MatchIndex.levels feeds each prefix letter's live list as one run;
+    # the same matches fed as runs of one under the same tags build the
+    # same levels, one per LCS letter, and each level's distinct values
+    # are the keys that extend() keeps for the same runs
+    rng = random.Random(41)
+    for sigma in (1, 2, 4, 20):
+        alphabet = "ACDEFGHIKLMNPQRSTVWY"[:sigma]
+        for _ in range(60):
+            p, s = ("".join(rng.choice(alphabet)
+                            for _ in range(rng.randint(0, 40)))
+                    for _ in range(2))
+            index = MatchIndex(s)
+            runs = [(i, index.by_letter.get(letter, ()))
+                    for i, letter in enumerate(p, 1)]
+            levels = positional_levels(runs)
+            assert index.levels(p) == levels
+            assert positional_levels((i, (j,)) for i, run in runs
+                                     for j in run) == levels
+            assert len(levels) == lcss_length(p, s)
+            keys = ThresholdLevels()
+            for _, run in runs:
+                keys.extend(run)
+            assert [list(dict.fromkeys(values))
+                    for values, _ in levels] == keys.key_lists()
 
 
 class ComparatorMachine(RuleBasedStateMachine):
