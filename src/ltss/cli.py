@@ -135,16 +135,21 @@ def cmd_ltss(args):
 
 
 def cmd_lcss(args):
+    cells = (len(args.p) + 1) * (len(args.s) + 1)
+    if args.verify and cells > oracle.LCSS_CELL_GUARD:
+        raise InputError("--verify supports lcss tables up to %d cells"
+                         % oracle.LCSS_CELL_GUARD)
     levels = MatchIndex(args.s).levels(args.p)
     length = len(levels)
     # one enumeration per request; its first item is the reported witness
     found = islice(enumerate_lis(levels), args.enumerate or 1)
-    pairs = next(found) if length else []
+    p_positions, s_positions = next(found) if length else ([], [])
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
+        pairs = list(zip(p_positions, s_positions))
         # the witness must be a common subsequence of the claimed length:
         # one pair per letter, both coordinates strictly increasing
-        ok = (ref == length == len(pairs)
+        ok = (ref == length == len(p_positions) == len(s_positions)
               and all(i < i2 and j < j2
                       for (i, j), (i2, j2) in zip(pairs, pairs[1:]))
               and all(0 < i <= len(args.p) and 0 < j <= len(args.s)
@@ -157,8 +162,9 @@ def cmd_lcss(args):
     if args.length_only:
         print(length)
         return 0
-    witness = "".join(args.p[i - 1] for i, _ in pairs)
-    alternatives = [pairs] + list(found) if args.enumerate and length else []
+    witness = "".join(args.p[i - 1] for i in p_positions)
+    alternatives = ([(p_positions, s_positions)] + list(found)
+                    if args.enumerate and length else [])
     # counts of the one build: every equal-letter pair; nothing leaves S
     stats = {"matches": sum(len(tags) for _, tags in levels),
              "lambdaMax": length, "extractMins": 0} if args.stats else None
@@ -166,23 +172,22 @@ def cmd_lcss(args):
         payload = {
             "length": length,
             "witness": witness,
-            "pPositions": [i for i, _ in pairs],
-            "sPositions": [j for _, j in pairs],
+            "pPositions": p_positions,
+            "sPositions": s_positions,
         }
         if stats:
             payload["stats"] = stats
         if alternatives:
-            payload["witnesses"] = [
-                {"pPositions": [i for i, _ in alt],
-                 "sPositions": [j for _, j in alt]} for alt in alternatives]
+            payload["witnesses"] = [{"pPositions": a, "sPositions": b}
+                                    for a, b in alternatives]
         print(json.dumps(payload))
         return 0
     print("length=%d" % length)
     print("witness=%s" % witness)
-    print("p_positions=%s" % _csv(i for i, _ in pairs))
-    print("s_positions=%s" % _csv(j for _, j in pairs))
-    for alt in alternatives:
-        print("pairs=%s" % ",".join("%d:%d" % pair for pair in alt))
+    print("p_positions=%s" % _csv(p_positions))
+    print("s_positions=%s" % _csv(s_positions))
+    for a, b in alternatives:
+        print("pairs=%s" % ",".join("%d:%d" % pair for pair in zip(a, b)))
     if stats:
         print("matches=%(matches)d\nlambda_max=%(lambdaMax)d\n"
               "extract_mins=%(extractMins)d" % stats)
@@ -209,12 +214,13 @@ def cmd_lis(args):
     if args.format == "json":
         payload = {"length": length}
         if sequences:
-            payload["sequences"] = [[[v, p] for p, v in seq] for seq in sequences]
+            payload["sequences"] = [[[v, p] for v, p in zip(values, tags)]
+                                    for tags, values in sequences]
         print(json.dumps(payload))
         return 0
     print("length=%d" % length)
-    for seq in sequences:
-        print("seq=%s" % ",".join("%d:%d" % (v, p) for p, v in seq))
+    for tags, values in sequences:
+        print("seq=%s" % ",".join("%d:%d" % vp for vp in zip(values, tags)))
     return 0
 
 

@@ -16,7 +16,7 @@ searches.  Supported updates:
                    subsequence, largest value chain first
 
 ThresholdLevels keeps the levels alone, so its space is O(live keys): it
-is what the scan's comparator drives.  Values are positive integers.
+is what the scan's comparator drives.  Values are real numbers, not NaN.
 ThresholdStructure adds element identity for an exact size and all_lis()
 after extracts: each inserted element gets a position from a strictly
 increasing counter that is never reused.  Positions live in an append log
@@ -28,13 +28,13 @@ them from (tag, values) runs with one patience pass (Hunt and Szymanski,
 1977) and enumerate_lis() walks them: all_lis() feeds each survivor of
 the log as a run of one, a MatchIndex each prefix letter's live match
 list as it is, the same run the scan's comparator feeds extend().  The
-walk's windows are slices of a level's tags and values, and its items
-are (tag, value) pairs, so match runs tagged by prefix positions give
-their (p, s) witnesses as they are; all_lis() turns each item round.
+walk's windows are slices of a level's tags and values, and it yields
+each subsequence as its (tags, values) lists, so match runs tagged by
+prefix positions give a witness's p and s positions as they are.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import islice
 from operator import add, neg, sub
@@ -231,7 +231,7 @@ class ThresholdStructure(ThresholdLevels):
         top-down window walk: the maximal value chain comes first."""
         if self.size == 0:
             raise ValueError("all_lis on empty structure")
-        return (tuple((v, p) for p, v in seq) for seq in
+        return (tuple(zip(values, positions)) for positions, values in
                 islice(enumerate_lis(self._survivor_levels()), limit))
 
     def _survivor_levels(self):
@@ -259,36 +259,34 @@ def positional_levels(runs):
     return list(zip(values, tags))
 
 
-def _window(level, value_bound, tag_bound):
+def _window(level, value, tag):
     # (tag, value) items of a level below a chosen (value, tag): the slice
-    # from the first value at most value_bound up to the first tag not
-    # below tag_bound.  One sharing the chosen tag lies above the value bound.
+    # from the first value strictly below value up to the first tag not
+    # below tag.  One sharing the chosen tag lies above the chosen value.
     values, tags = level
-    start = bisect_left(values, -value_bound, key=neg)
-    stop = bisect_left(tags, tag_bound, start)
+    start = bisect_right(values, -value, key=neg)
+    stop = bisect_left(tags, tag, start)
     return zip(tags[start:stop], values[start:stop])
 
 
 def enumerate_lis(levels):
     """Yield every longest strictly increasing subsequence of the levels'
-    history as a new list of (tag, value) items, the maximal value chain
-    first."""
+    history as two new lists, (tags, values), level 1 first, the maximal
+    value chain first, from one open window and item slot per level."""
     if not levels:
         raise ValueError("no increasing subsequence in an empty history")
     lam = len(levels)
-    frames = [_window(levels[-1], INF, INF)]
-    chosen = [None]      # the item taken from each open window
-    while frames:
-        item = next(frames[-1], None)
-        if item is None:
-            frames.pop()
-            chosen.pop()
-            continue
-        chosen[-1] = item
-        if len(frames) == lam:
-            yield chosen[::-1]
+    tags = [None] * lam
+    values = [None] * lam
+    frames = [None] * lam
+    k = lam - 1
+    frames[k] = _window(levels[k], INF, INF)
+    while k < lam:
+        for tags[k], values[k] in frames[k]:
+            if k:
+                k -= 1
+                frames[k] = _window(levels[k], values[k + 1], tags[k + 1])
+                break
+            yield tags[:], values[:]
         else:
-            tag, value = item
-            frames.append(_window(levels[lam - len(frames) - 1],
-                                  value - 1, tag))
-            chosen.append(None)
+            k += 1

@@ -16,6 +16,10 @@ TANDEM_GUARD = 200
 # longest string `ltss --verify` checks with bitparallel_ltss, whose
 # O(n^3 / word size) scan takes well under a second there
 BITPARALLEL_GUARD = 2000
+# largest dp_lcss table `lcss --verify` builds, in (|P|+1)(|S|+1) Python
+# ints: at the limit 0.6 s and a 56 MB peak (CPython 3.11, 2-vCPU VM);
+# 10^4 x 10^4 would need about 1.5 GB
+LCSS_CELL_GUARD = 2000 * 2000
 
 
 def dp_lcss(p, s):

@@ -34,7 +34,8 @@ class MatchIndex:
     def levels(self, p):
         """One positional build of p over the current lists: one run per
         letter of p, its live list as it is, tagged by its 1-based index
-        in p.  There is one level per LCS letter; walk items are (p, s)."""
+        in p.  There is one level per LCS letter, and a walk item is a
+        witness's p positions and s positions, as two lists."""
         return positional_levels((i, self.by_letter.get(letter, ()))
                                  for i, letter in enumerate(p, 1))
 
@@ -87,8 +88,9 @@ class Comparator:
         along a witness; s positions are original S coordinates.  The
         levels are built on the first item, over the live lists."""
         levels = self.index.levels(self.p_letters)
-        yield from islice(enumerate_lis(levels), limit)
+        for p_positions, s_positions in islice(enumerate_lis(levels), limit):
+            yield list(zip(p_positions, s_positions))
 
     def witness(self):
         """First maximal common subsequence of the enumeration."""
-        return next(self.witnesses(limit=1))
+        return next(self.witnesses())

@@ -102,11 +102,9 @@ def split_tandems(f, split):
         yield ("", [], [])
         return
     padded = " " + f     # 1-based positions
-    for pairs in enumerate_lis(levels):
-        first = [p for p, _ in pairs]
+    for first, second in enumerate_lis(levels):
         # one letter comes back bare, and joins to itself
-        yield ("".join(itemgetter(*first)(padded)), first,
-               [s for _, s in pairs])
+        yield "".join(itemgetter(*first)(padded)), first, second
 
 def compute_ltss(f):
     """Longest subsequence occurring twice without overlap in the str f,

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -472,17 +473,17 @@ def test_verify_long_string(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("broken", [
-    lambda pairs: pairs[::-1],
-    lambda pairs: pairs[:-1],
-    lambda pairs: pairs + pairs[-1:],
+    lambda ps, ss: (ps[::-1], ss[::-1]),
+    lambda ps, ss: (ps[:-1], ss[:-1]),
+    lambda ps, ss: (ps + ps[-1:], ss + ss[-1:]),
 ], ids=["reversed", "one-pair-short", "pair-repeated"])
 def test_lcss_verify_checks_whole_witness(broken, capsys, monkeypatch):
     # each broken witness still pairs equal letters only
     real = cli.enumerate_lis
 
     def enumerate_lis(levels):
-        for pairs in real(levels):
-            yield broken(pairs)
+        for p_positions, s_positions in real(levels):
+            yield broken(p_positions, s_positions)
 
     monkeypatch.setattr(cli, "enumerate_lis", enumerate_lis)
     assert cli.main(["lcss", "--verify", "AGCG", "AACGGGTA"]) == 3
@@ -496,6 +497,27 @@ def test_verify_guard(capsys, monkeypatch):
     code = run_cli(["ltss", "--verify"], big, monkeypatch)
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lcss_verify_guard(capsys, monkeypatch):
+    # at the guard --verify runs the oracle; one row past it, it refuses
+    # before building any table
+    side = math.isqrt(oracle.LCSS_CELL_GUARD) - 1
+    past = oracle.LCSS_CELL_GUARD // (side + 1)
+    assert (side + 1) ** 2 <= oracle.LCSS_CELL_GUARD < (side + 1) * (past + 1)
+    monkeypatch.setattr(oracle, "lcss_length", lambda p, s: 0)
+    assert cli.main(["lcss", "--verify", "A" * side, "C" * side]) == 0
+
+    def no_table(p, s):
+        raise AssertionError("dp table built past the guard")
+
+    monkeypatch.setattr(oracle, "dp_lcss", no_table)
+    monkeypatch.setattr(oracle, "lcss_length", no_table)
+    capsys.readouterr()
+    assert cli.main(["lcss", "--verify", "A" * side, "C" * past]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 NOT_UTF8 = b"AC\xffGT\n"

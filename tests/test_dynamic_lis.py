@@ -3,6 +3,7 @@ differential checks against the brute-force oracles, and the structural
 invariants after randomized traces."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,16 @@ def test_extend_unsized_leaves_state_alone():
     assert (empty.lis_length, empty.size, empty.position_counter) == (0, 0, 0)
 
 
+def test_extend_equal_neighbour_searches_below_it():
+    # a value not above its predecessor bisects only up to the
+    # predecessor's level: 2 probes over three levels, then 1 below level 2
+    ts = ThresholdLevels()
+    ts.extend([1, 2, 3])
+    before = ts.stats.search_steps
+    ts.extend([2, 2])
+    assert ts.stats.search_steps - before == 3
+
+
 def test_extend_runs_survive_extracts():
     # every run of appends between two extracts goes in as one extend
     rng = random.Random(7)
@@ -294,6 +305,22 @@ def test_all_lis_matches_exhaustive_enumeration():
             vs = [v for v, _ in seq]
             assert len(seq) == target
             assert all(a < b for a, b in zip(vs, vs[1:]))
+        assert {tuple(p for _, p in seq) for seq in got} == \
+            enumerate_lis_naive(values)
+
+
+@pytest.mark.parametrize("scale", [lambda k: k / 2, lambda k: Fraction(k, 3)],
+                         ids=["float", "fraction"])
+def test_all_lis_non_integer_values(scale):
+    # a window holds the values strictly below the chosen one, with no
+    # integer step between neighbouring values
+    assert list(build_structure([1.5, 2.0]).all_lis()) == [((1.5, 1), (2.0, 2))]
+    rng = random.Random(29)
+    for _ in range(200):
+        values = [scale(rng.randint(1, 8)) for _ in range(rng.randint(1, 12))]
+        got = list(build_structure(values).all_lis())
+        assert all(v == values[p - 1] for seq in got for v, p in seq)
+        assert len({tuple(p for _, p in seq) for seq in got}) == len(got)
         assert {tuple(p for _, p in seq) for seq in got} == \
             enumerate_lis_naive(values)
 

@@ -28,7 +28,8 @@ def window(ts, bound, level=0):
     levels = ts._survivor_levels()
     if not levels:
         return []
-    return [(v, p) for p, v in _window(levels[level], bound, INF)]
+    # the keys are ints, so strictly below bound + 1 is at most bound
+    return [(v, p) for p, v in _window(levels[level], bound + 1, INF)]
 
 
 def predecessor(ts, bound, level=0):
