@@ -2,7 +2,7 @@
 
 Subcommands: `ltss` (tandem search on one string, from a file, stdin or
 FASTA), `lcss P S` (common subsequence of two strings) and `lis N...`
-(longest increasing subsequence of a number list).  Exit codes: 0 on
+(longest increasing subsequence of any integers).  Exit codes: 0 on
 success, 1 on a broken output pipe, 2 on input errors, 3 when --verify
 disagrees with the oracle.
 """
@@ -195,8 +195,6 @@ def cmd_lcss(args):
 
 
 def cmd_lis(args):
-    if any(v < 1 for v in args.values):
-        raise InputError("lis values must be positive integers")
     levels = positional_levels(enumerate(zip(args.values), 1))
     length = len(levels)
     if args.verify:

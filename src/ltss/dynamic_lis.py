@@ -16,7 +16,8 @@ searches.  Supported updates:
                    subsequence, largest value chain first
 
 ThresholdLevels keeps the levels alone, so its space is O(live keys): it
-is what the scan's comparator drives.  Values are real numbers, not NaN.
+is what the scan's comparator drives.  Values are real numbers, not NaN:
+ThresholdStructure.extend rejects NaN, ThresholdLevels checks nothing.
 ThresholdStructure adds element identity for an exact size and all_lis()
 after extracts: each inserted element gets a position from a strictly
 increasing counter that is never reused.  Positions live in an append log
@@ -36,7 +37,6 @@ prefix positions give a witness's p and s positions as they are.
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import islice
 from operator import add, neg, sub
 
 INF = math.inf
@@ -73,7 +73,8 @@ class Counters:
 
 class ThresholdLevels:
     """Keys-only threshold levels: everything the scan reads and nothing
-    that only enumeration needs."""
+    that only enumeration needs.  Values go in unchecked: a NaN would
+    corrupt the levels, but the comparator feeds only int positions."""
 
     __slots__ = ("_levels", "_mins", "stats")
 
@@ -214,6 +215,8 @@ class ThresholdStructure(ThresholdLevels):
         return out
 
     def extend(self, values):
+        if any(v != v for v in values):
+            raise ValueError("NaN is not ordered against other values")
         super().extend(values)
         self.size += len(values)
         self._log.extend(values)
@@ -225,14 +228,14 @@ class ThresholdStructure(ThresholdLevels):
         self._killed[m] = len(self._log)
         self.size -= self._count.pop(m)
 
-    def all_lis(self, limit=None):
-        """Yield every longest strictly increasing subsequence as a tuple
-        of (value, position) pairs, in the deterministic order of the
-        top-down window walk: the maximal value chain comes first."""
+    def all_lis(self):
+        """Yield, lazily, every longest strictly increasing subsequence as
+        a tuple of (value, position) pairs in top-down window walk order,
+        maximal value chain first.  An empty structure raises at the call."""
         if self.size == 0:
             raise ValueError("all_lis on empty structure")
         return (tuple(zip(values, positions)) for positions, values in
-                islice(enumerate_lis(self._survivor_levels()), limit))
+                enumerate_lis(self._survivor_levels()))
 
     def _survivor_levels(self):
         killed = self._killed

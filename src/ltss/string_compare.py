@@ -13,8 +13,6 @@ so MatchIndex.levels builds P's positional levels from them; `ltss lcss`,
 which never drops a letter, answers from that one build alone.
 """
 
-from itertools import islice
-
 from .dynamic_lis import ThresholdLevels, enumerate_lis, positional_levels
 
 
@@ -82,15 +80,11 @@ class Comparator:
         if self.ts.min_value() == self.front:
             self.ts.extract_min()
 
-    def witnesses(self, limit=None):
-        """Maximal common subsequences as (p_position, s_position) pair
-        lists, in enumeration order.  Both coordinates strictly increase
-        along a witness; s positions are original S coordinates.  The
-        levels are built on the first item, over the live lists."""
+    def witnesses(self):
+        """Yield, lazily, each maximal common subsequence as a list of
+        (p_position, s_position) pairs in enumeration order, both strictly
+        increasing, s in original S coordinates.  The levels are built on
+        the first item, over the live lists."""
         levels = self.index.levels(self.p_letters)
-        for p_positions, s_positions in islice(enumerate_lis(levels), limit):
+        for p_positions, s_positions in enumerate_lis(levels):
             yield list(zip(p_positions, s_positions))
-
-    def witness(self):
-        """First maximal common subsequence of the enumeration."""
-        return next(self.witnesses())

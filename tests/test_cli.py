@@ -315,7 +315,7 @@ def test_lcss_lis_output_bytes(argv, expected, capsys):
              '[[5, 2]]]}\n'),
 ])
 def test_lis_values_beyond_64_bits(fmt, expected, capsys):
-    # lis accepts any positive int, so enumeration keeps the values as ints
+    # lis accepts any int, so enumeration keeps the values as ints
     argv = ["lis", "--format", fmt, "99999999999999999999999", "5",
             "--enumerate", "3"]
     assert cli.main(argv) == 0
@@ -445,6 +445,27 @@ def test_lis_json(capsys):
     assert payload["sequences"] == [[[2, 1], [3, 3]], [[1, 2], [3, 3]]]
 
 
+def test_lis_any_integers_match_oracles(capsys):
+    # zero and negatives are values like any other: a window selects
+    # strictly below the chosen value, with no bound under it
+    assert cli.main(["lis", "3", "-1", "0", "2", "-1", "5"]) == 0
+    assert cli.main(["lis", "0", "2"]) == 0
+    assert capsys.readouterr().out == "length=4\nlength=2\n"
+    rng = random.Random(17)
+    for _ in range(300):
+        values = [rng.randint(-6, 6) for _ in range(rng.randint(1, 12))]
+        argv = ["lis", "--verify", "--format", "json", "--enumerate",
+                "100000", *map(str, values)]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["length"] == oracle.naive_lis(values)
+        seqs = [tuple(p for _, p in seq) for seq in payload["sequences"]]
+        assert len(seqs) == len(set(seqs))
+        assert set(seqs) == oracle.enumerate_lis_naive(values)
+        assert all(v == values[p - 1]
+                   for seq in payload["sequences"] for v, p in seq)
+
+
 # ------------------------------------------------------- verify and errors
 
 def test_verify_passes(capsys, monkeypatch):
@@ -461,6 +482,14 @@ def test_verify_mismatch_exits_3(capsys, monkeypatch):
     code = run_cli(["ltss", "--verify"], GOLDEN, monkeypatch)
     assert code == 3
     assert "verify mismatch" in capsys.readouterr().err
+
+
+def test_lis_verify_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "patience_lis", lambda values: 99)
+    assert cli.main(["lis", "--verify", "3", "1", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify mismatch" in captured.err
 
 
 def test_verify_long_string(capsys, monkeypatch):
@@ -527,7 +556,7 @@ NOT_UTF8 = b"AC\xffGT\n"
     (["ltss", "/no/such/file"], None),
     (["ltss"], "A B\n"),
     (["ltss", "--enumerate", "0"], "AA\n"),
-    (["lis", "0", "2"], None),
+    (["lis", "--enumerate", "0", "1"], None),
     (["ltss", "--fasta"], "ACGT\n"),
     (["ltss", "not-utf8.txt"], None),
     (["ltss"], NOT_UTF8),

@@ -2,8 +2,10 @@
 differential checks against the brute-force oracles, and the structural
 invariants after randomized traces."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,17 @@ def test_append_duplicate_of_tail_merges():
     ts.append(3)  # equals the level-2 tail
     assert ts.key_lists() == before
     assert ts.snapshot()[1][-1] == (3, (7, 11))
+
+
+def test_nan_rejected_before_any_change():
+    # NaN compares false against everything and would unsort a level
+    ts = build_structure([3])
+    for call, arg in ((ts.append, math.nan), (ts.extend, [2, math.nan, 1])):
+        with pytest.raises(ValueError):
+            call(arg)
+        assert ts.key_lists() == [[3]]
+        assert ts.size == 1
+        assert ts.position_counter == 1
 
 
 def test_extract_min_removes_only_level_one_tail():
@@ -275,10 +288,6 @@ def test_all_lis_worked_enumeration():
     assert seqs == WORKED_ENUMERATION
 
 
-def test_all_lis_limit():
-    assert list(worked_state().all_lis(limit=2)) == WORKED_ENUMERATION[:2]
-
-
 def test_all_lis_singletons():
     assert list(build_structure([7]).all_lis()) == [((7, 1),)]
     assert list(build_structure([3, 3, 3]).all_lis()) == [
@@ -417,14 +426,15 @@ class ThresholdMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.shadow)
     @rule()
     def all_lis(self):
-        got = list(self.ts.all_lis(limit=500))
+        got = list(islice(self.ts.all_lis(), 500))
         live = set(self.shadow)
         for seq in got:
             assert len(seq) == self.ts.lis_length
             assert set(seq) <= live
             assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(seq, seq[1:]))
         rank = self._rank()
-        assert renumbered(got, rank) == list(self._fresh().all_lis(limit=500))
+        fresh = islice(self._fresh().all_lis(), 500)
+        assert renumbered(got, rank) == list(fresh)
         if len(self.shadow) <= 20:
             assert {tuple(rank[p] for _, p in seq) for seq in got} == \
                 enumerate_lis_naive([v for v, _ in self.shadow])

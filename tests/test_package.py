@@ -3,13 +3,16 @@ run as written."""
 
 import ast
 import doctest
+import inspect
 import io
 import pathlib
 import re
 import shlex
 
 import ltss
-from ltss import cli
+from ltss import cli, dynamic_lis, string_compare, tandem
+
+import test_acceptance
 
 PACKAGE = pathlib.Path(ltss.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -25,6 +28,45 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert PACKAGE.name == "ltss" and len(list(PACKAGE.glob("*.py"))) > 1
     assert found == []
+
+
+def _own_callables(module):
+    # public functions and public non-dunder methods defined in module,
+    # not imported into it
+    home = module.__name__
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != home:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield "%s.%s" % (name, attr), member
+
+
+def test_library_walks_take_no_options():
+    # a caller takes what it needs of a lazy walk with islice or next, so
+    # no library callable carries an option that no caller sets
+    checked = {}
+    for module in (dynamic_lis, string_compare, tandem):
+        for name, fn in _own_callables(module):
+            checked[name] = [p.name for p in
+                             inspect.signature(fn).parameters.values()
+                             if p.default is not inspect.Parameter.empty]
+    assert {"ThresholdStructure.all_lis", "Comparator.witnesses",
+            "enumerate_lis", "compute_ltss"} <= checked.keys()
+    assert {name: found for name, found in checked.items() if found} == {}
+
+
+def test_acceptance_runner_lists_every_criterion():
+    # the standalone runner reports only ALL, so a criterion left out of it
+    # would pass under pytest and vanish from the standalone verdict
+    criteria = sorted((fn for name, fn in vars(test_acceptance).items()
+                       if name.startswith("test_criterion_")),
+                      key=lambda fn: fn.__code__.co_firstlineno)
+    assert len(criteria) == 9
+    assert test_acceptance.ALL == criteria
 
 
 def readme_block(lang):
