@@ -2,8 +2,10 @@
 
 Subcommands: `ltss` (tandem search on one string, from a file, stdin or
 FASTA), `lcss P S` (common subsequence of two strings) and `lis N...`
-(longest increasing subsequence of any integers).  Exit codes: 0 on
-success, 1 on a broken output pipe, 2 on input errors, 3 when --verify
+(longest increasing subsequence of any integers).  Input files are read
+as UTF-8, whatever the locale; stdin keeps the interpreter's encoding.
+Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
+and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
 """
 
@@ -12,11 +14,12 @@ import json
 import os
 import sys
 from itertools import islice
+from operator import itemgetter
 
 from . import oracle
-from .dynamic_lis import enumerate_lis, positional_levels
+from .dynamic_lis import enumerate_lis, positional_levels, walk_lis
 from .string_compare import MatchIndex
-from .tandem import compute_ltss, split_tandems
+from .tandem import compute_ltss, split_levels, split_tandems
 
 
 class InputError(Exception):
@@ -54,7 +57,7 @@ def _read_source(path):
     try:
         if path is None or path == "-":
             return sys.stdin.read()
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc))
@@ -79,8 +82,32 @@ def _print_stats_text(st):
     print("time_ms=%.3f" % (st.elapsed * 1000.0))
 
 
-def _csv(values, to_str=str):
-    return ",".join(map(to_str, values))
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _print_tandems(f, split, count):
+    """Print a tandem= line for each of the first count tandems at the
+    split as the walk yields it.  Consecutive tandems share every level
+    above the walk's rewrite count, so each line converts only the
+    rewritten levels' letters and decimals and joins the rest as kept."""
+    levels = split_levels(f, split)
+    padded = " " + f     # 1-based positions
+    decimal = list(map(str, range(len(f) + 1)))
+    word, first, second = ([None] * len(levels) for _ in range(3))
+    write = sys.stdout.write
+    for r, tags, values in islice(walk_lis(levels), count):
+        if r == 1:
+            # an itemgetter of one index returns its item bare
+            t = tags[0]
+            word[0], first[0] = padded[t], decimal[t]
+            second[0] = decimal[values[0]]
+        else:
+            at = itemgetter(*tags[:r])
+            word[:r], first[:r] = at(padded), at(decimal)
+            second[:r] = itemgetter(*values[:r])(decimal)
+        write("tandem=%s occ1=%s occ2=%s\n"
+              % ("".join(word), ",".join(first), ",".join(second)))
 
 
 def cmd_ltss(args):
@@ -101,9 +128,7 @@ def cmd_ltss(args):
     if args.length_only:
         print(res.length)
         return 0
-    tandems = []
-    if args.enumerate and res.length:
-        tandems = list(islice(split_tandems(f, res.split_index), args.enumerate))
+    show_tandems = args.enumerate and res.length
     if args.format == "json":
         payload = {
             "length": res.length,
@@ -113,9 +138,10 @@ def cmd_ltss(args):
             "occ2": res.second_occurrence,
             "stats": _stats_payload(res.stats),
         }
-        if tandems:
+        if show_tandems:
             payload["tandems"] = [
-                {"witness": w, "occ1": a, "occ2": b} for w, a, b in tandems]
+                {"witness": w, "occ1": a, "occ2": b} for w, a, b in
+                islice(split_tandems(f, res.split_index), args.enumerate)]
         print(json.dumps(payload))
         return 0
     print("length=%d" % res.length)
@@ -123,12 +149,8 @@ def cmd_ltss(args):
     print("witness=%s" % res.witness)
     print("occ1=%s" % _csv(res.first_occurrence))
     print("occ2=%s" % _csv(res.second_occurrence))
-    if tandems:
-        # one decimal string per position, shared by every tandem line
-        decimal = list(map(str, range(len(f) + 1))).__getitem__
-        for w, a, b in tandems:
-            print("tandem=%s occ1=%s occ2=%s"
-                  % (w, _csv(a, decimal), _csv(b, decimal)))
+    if show_tandems:
+        _print_tandems(f, res.split_index, args.enumerate)
     if args.stats:
         _print_stats_text(res.stats)
     return 0
@@ -267,7 +289,7 @@ def main(argv=None):
         if args.enumerate is not None and args.enumerate < 1:
             raise InputError("--enumerate expects a positive count")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, UnicodeEncodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

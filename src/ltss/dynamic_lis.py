@@ -26,12 +26,15 @@ appended, and an extract-min kills every logged occurrence of its value
 at once.  Only enumeration reads positions, and positional levels depend
 only on the sequence of surviving appends, so positional_levels() builds
 them from (tag, values) runs with one patience pass (Hunt and Szymanski,
-1977) and enumerate_lis() walks them: all_lis() feeds each survivor of
-the log as a run of one, a MatchIndex each prefix letter's live match
-list as it is, the same run the scan's comparator feeds extend().  The
-walk's windows are slices of a level's tags and values, and it yields
-each subsequence as its (tags, values) lists, so match runs tagged by
-prefix positions give a witness's p and s positions as they are.
+1977) and walk_lis() walks them: all_lis() feeds each survivor of the
+log as a run of one, a MatchIndex each prefix letter's live match list
+as it is, the same run the scan's comparator feeds extend().  The walk's
+windows are slices of a level's tags and values, and it rewrites one
+(tags, values) slot pair per level in place, so match runs tagged by
+prefix positions give a witness's p and s positions as they are.  Each
+walk item says how many leading levels it rewrote: consecutive items
+share every level above that, so a consumer that formats items redoes
+only the rewritten ones.  enumerate_lis() yields a copy of each item.
 """
 
 import math
@@ -272,17 +275,22 @@ def _window(level, value, tag):
     return zip(tags[start:stop], values[start:stop])
 
 
-def enumerate_lis(levels):
-    """Yield every longest strictly increasing subsequence of the levels'
-    history as two new lists, (tags, values), level 1 first, the maximal
-    value chain first, from one open window and item slot per level."""
+def walk_lis(levels):
+    """Walk every longest strictly increasing subsequence of the levels'
+    history, level 1 first, the maximal value chain first, from one open
+    window and one (tag, value) slot per level.  Each item is
+    (rewritten, tags, values): the walk's own slot lists, rewritten in
+    place, and how many leading slots it reassigned since the previous
+    item (all of them on the first).  Slots from rewritten up still hold
+    the previous item's entries; a consumer keeps what it needs of them
+    before asking for the next item."""
     if not levels:
         raise ValueError("no increasing subsequence in an empty history")
     lam = len(levels)
     tags = [None] * lam
     values = [None] * lam
     frames = [None] * lam
-    k = lam - 1
+    k = top = lam - 1
     frames[k] = _window(levels[k], INF, INF)
     while k < lam:
         for tags[k], values[k] in frames[k]:
@@ -290,6 +298,16 @@ def enumerate_lis(levels):
                 k -= 1
                 frames[k] = _window(levels[k], values[k + 1], tags[k + 1])
                 break
-            yield tags[:], values[:]
+            yield top + 1, tags, values
+            top = 0
         else:
+            # the climb ends on the level that takes its next window item
             k += 1
+            top = k
+
+
+def enumerate_lis(levels):
+    """Yield every longest strictly increasing subsequence of the levels'
+    history as two new lists, (tags, values), in walk_lis order."""
+    for _, tags, values in walk_lis(levels):
+        yield tags[:], values[:]

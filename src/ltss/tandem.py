@@ -88,16 +88,23 @@ def replay_split(f, split):
         comp.append_to_p(letter)
     return comp
 
-def split_tandems(f, split):
-    """Yield (witness, first_occurrence, second_occurrence) for every
-    maximal tandem at the split, in enumeration order, from one positional
-    build; a split with no common letter yields the one empty tandem."""
+def split_levels(f, split):
+    """Positional levels of f[:split] over f[split:], from one fresh
+    MatchIndex(f) with the prefix's positions popped: a walk item is a
+    maximal tandem's first and second occurrence lists.  A split with no
+    common letter gives no levels."""
     if not 0 <= split <= len(f):
         raise ValueError("split %d outside 0..%d" % (split, len(f)))
     index = MatchIndex(f)
     for letter in f[:split]:
         index.by_letter[letter].pop()   # the list tail, as a drop pops it
-    levels = index.levels(f[:split])
+    return index.levels(f[:split])
+
+def split_tandems(f, split):
+    """Yield (witness, first_occurrence, second_occurrence) for every
+    maximal tandem at the split, in enumeration order, from one positional
+    build; a split with no common letter yields the one empty tandem."""
+    levels = split_levels(f, split)
     if not levels:
         yield ("", [], [])
         return

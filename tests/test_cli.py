@@ -1,6 +1,7 @@
 """CLI tests: input parsing, the three documented invocations, output
 formats, verify/exit codes, and error handling."""
 
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -10,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -245,6 +248,62 @@ def test_ltss_enumerate_benchmark_bytes(capsys, monkeypatch):
         assert run_cli(argv, f + "\n", monkeypatch) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == expected, label
+
+
+def _split_tandem_cases():
+    rng = random.Random(43)
+    for alphabet in ("A", "AC", "ACGT", "ACDEFGHIKLMNPQRSTVWY"):
+        for n in [0, 1, 2] + [rng.randint(3, 60) for _ in range(6)] + [150]:
+            f = "".join(rng.choice(alphabet) for _ in range(n))
+            # a 150-letter string over 2 or 4 letters has millions of
+            # optimal tandems; the others have at most thousands
+            full = n <= 60 or len(alphabet) in (1, 20)
+            yield f, (1, 7, 10**6) if full else (1, 7)
+
+
+def test_ltss_enumerate_text_and_json_agree(capsys, monkeypatch):
+    # text walks the split's levels itself, json takes split_tandems
+    for f, counts in _split_tandem_cases():
+        res = tandem.compute_ltss(f)
+        for count in counts:
+            tandems = (list(islice(tandem.split_tandems(f, res.split_index),
+                                   count)) if res.length else [])
+            argv = ["ltss", "--enumerate", str(count)]
+            assert run_cli(argv, f + "\n", monkeypatch) == 0
+            lines = [ln for ln in capsys.readouterr().out.splitlines()
+                     if ln.startswith("tandem=")]
+            assert lines == ["tandem=%s occ1=%s occ2=%s"
+                             % (w, ",".join(map(str, a)), ",".join(map(str, b)))
+                             for w, a, b in tandems], (f, count)
+            assert run_cli(argv + ["--format", "json"], f + "\n",
+                           monkeypatch) == 0
+            payload = json.loads(capsys.readouterr().out)
+            if res.length:
+                assert payload["tandems"] == [
+                    {"witness": w, "occ1": a, "occ2": b}
+                    for w, a, b in tandems], (f, count)
+            else:
+                assert "tandems" not in payload
+
+
+def test_ltss_enumerate_text_memory_flat(tmp_path):
+    # text tandem lines stream as the walk yields them, so the peak does
+    # not grow with the count
+    path = tmp_path / "periodic.txt"
+    path.write_text(benchmark_shapes()["enumerate-periodic"] + "\n")
+
+    def peak(count):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(["ltss", "--enumerate", str(count),
+                                 str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(2000)    # warm-up: first-call allocations such as lazy imports
+    assert peak(2000) <= 1.5 * peak(1)
 
 
 def test_ltss_fasta_file(capsys, tmp_path):
@@ -582,6 +641,32 @@ def test_module_entry_point():
         input=GOLDEN, capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_input_file_read_as_utf8_under_ascii_locale(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes("ÄÖÄÖ\n".encode("utf-8"))
+    env = dict(CHILD_ENV, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUTF8", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "ltss", "ltss", str(path)],
+        capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "witness=ÄÖ\n" in proc.stdout.decode("utf-8")
+
+
+def test_unencodable_output_exits_2(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes("ÄÖÄÖ\n".encode("utf-8"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltss", "ltss", str(path)],
+        capture_output=True, text=True,
+        env=dict(CHILD_ENV, PYTHONIOENCODING="ascii"))
+    assert proc.returncode == 2
+    assert proc.stdout == "length=2\nsplit=2\n"
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_broken_pipe_returns_1(monkeypatch):

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from ltss.dynamic_lis import INF, Counters, ThresholdLevels, ThresholdStructure
+from ltss.dynamic_lis import (INF, Counters, ThresholdLevels,
+                               ThresholdStructure, enumerate_lis,
+                               positional_levels, walk_lis)
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
                          threshold_stacks)
+from ltss.tandem import split_levels
 
 from helpers import (WORKED_STREAM, ReferenceLevels, build_structure,
                      drop_min, random_ops)
@@ -332,6 +335,42 @@ def test_all_lis_non_integer_values(scale):
         assert len({tuple(p for _, p in seq) for seq in got}) == len(got)
         assert {tuple(p for _, p in seq) for seq in got} == \
             enumerate_lis_naive(values)
+
+
+def check_walk_rewrites(levels):
+    # every caller's (tag, value) pairs are distinct, so a climb to level
+    # k takes that level's next window item and the top rewritten slot
+    # always differs from the previous item's
+    copies = []
+    prev = None
+    for rewritten, tags, values in walk_lis(levels):
+        item = list(zip(tags, values))
+        if prev is None:
+            assert rewritten == len(levels)
+        else:
+            changed = [k for k, pair in enumerate(item) if pair != prev[k]]
+            assert rewritten == 1 + max(changed)
+        prev = item
+        copies.append((tags[:], values[:]))
+    assert copies == list(enumerate_lis(levels))
+
+
+def test_walk_rewrite_count():
+    rng = random.Random(31)
+    for _ in range(300):
+        values = [rng.randint(1, 6) for _ in range(rng.randint(1, 14))]
+        check_walk_rewrites(positional_levels(enumerate(zip(values), 1)))
+    walked = 0
+    for alphabet in ("A", "AC", "ACGT"):
+        for _ in range(60):
+            f = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+            levels = split_levels(f, rng.randint(0, len(f)))
+            if levels:
+                check_walk_rewrites(levels)
+                walked += 1
+    assert walked > 100
+    with pytest.raises(ValueError):
+        next(walk_lis([]))
 
 
 def test_trace_invariants_and_oracle_equivalence():
