@@ -2,8 +2,9 @@
 
 Subcommands: `ltss` (tandem search on one string, from a file, stdin or
 FASTA), `lcss P S` (common subsequence of two strings) and `lis N...`
-(longest increasing subsequence of any integers).  Input files are read
-as UTF-8, whatever the locale; stdin keeps the interpreter's encoding.
+(longest increasing subsequence of any integers).  Every input, a file
+or stdin, is read as bytes and decoded as strict UTF-8 whatever the
+locale, and a leading byte-order mark is dropped.
 Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
 and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 from . import oracle
@@ -27,7 +28,9 @@ class InputError(Exception):
 
 
 def parse_input(text, fasta=False):
-    """Extract the subject string from raw text or single-record FASTA."""
+    """Extract the subject string from raw text or single-record FASTA.
+    Raw text drops one trailing `\n`, `\r\n` or `\r`; FASTA lines may end
+    in any of the three."""
     if fasta:
         lines = text.splitlines()
         if not lines or not lines[0].startswith(">"):
@@ -44,10 +47,7 @@ def parse_input(text, fasta=False):
         if not seq:
             raise InputError("empty FASTA body")
         return seq
-    if text.endswith("\r\n"):
-        text = text[:-2]
-    elif text.endswith("\n"):
-        text = text[:-1]
+    text = text.removesuffix("\n").removesuffix("\r")
     if any(ch.isspace() for ch in text):
         raise InputError("raw input must be a single string without whitespace")
     return text
@@ -56,9 +56,11 @@ def parse_input(text, fasta=False):
 def _read_source(path):
     try:
         if path is None or path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc))
 
@@ -185,8 +187,8 @@ def cmd_lcss(args):
         print(length)
         return 0
     witness = "".join(args.p[i - 1] for i in p_positions)
-    alternatives = ([(p_positions, s_positions)] + list(found)
-                    if args.enumerate and length else [])
+    alternatives = (chain([(p_positions, s_positions)], found)
+                    if args.enumerate and length else ())
     # counts of the one build: every equal-letter pair; nothing leaves S
     stats = {"matches": sum(len(tags) for _, tags in levels),
              "lambdaMax": length, "extractMins": 0} if args.stats else None
@@ -228,12 +230,10 @@ def cmd_lis(args):
     if args.length_only:
         print(length)
         return 0
-    sequences = []
-    if args.enumerate:
-        sequences = list(islice(enumerate_lis(levels), args.enumerate))
+    sequences = islice(enumerate_lis(levels), args.enumerate or 0)
     if args.format == "json":
         payload = {"length": length}
-        if sequences:
+        if args.enumerate:
             payload["sequences"] = [[[v, p] for v, p in zip(values, tags)]
                                     for tags, values in sequences]
         print(json.dumps(payload))

@@ -32,11 +32,11 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(argv, stdin=None, monkeypatch=None):
-    if isinstance(stdin, bytes):
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin),
-                                                           encoding="utf-8"))
-    elif stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    # the CLI reads stdin's bytes and decodes them itself
+    if stdin is not None:
+        data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin
+        monkeypatch.setattr("sys.stdin",
+                            SimpleNamespace(buffer=io.BytesIO(data)))
     return cli.main(argv)
 
 
@@ -46,9 +46,11 @@ def test_parse_raw():
     assert cli.parse_input("ABC") == "ABC"
     assert cli.parse_input("ABC\n") == "ABC"
     assert cli.parse_input("ABC\r\n") == "ABC"
+    assert cli.parse_input("ABC\r") == "ABC"
 
 
-@pytest.mark.parametrize("text", ["A B", "AB\nC", "ABC\n\n", " ABC"])
+@pytest.mark.parametrize("text", ["A B", "AB\nC", "ABC\n\n", " ABC",
+                                  "ABC\n\r", "ABC\r\r"])
 def test_parse_raw_rejects_whitespace(text):
     with pytest.raises(cli.InputError):
         cli.parse_input(text)
@@ -286,6 +288,17 @@ def test_ltss_enumerate_text_and_json_agree(capsys, monkeypatch):
                 assert "tandems" not in payload
 
 
+def peak_bytes(argv):
+    """tracemalloc peak of one CLI run with stdout sent to devnull."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def test_ltss_enumerate_text_memory_flat(tmp_path):
     # text tandem lines stream as the walk yields them, so the peak does
     # not grow with the count
@@ -293,14 +306,7 @@ def test_ltss_enumerate_text_memory_flat(tmp_path):
     path.write_text(benchmark_shapes()["enumerate-periodic"] + "\n")
 
     def peak(count):
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                assert cli.main(["ltss", "--enumerate", str(count),
-                                 str(path)]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        return peak_bytes(["ltss", "--enumerate", str(count), str(path)])
 
     peak(2000)    # warm-up: first-call allocations such as lazy imports
     assert peak(2000) <= 1.5 * peak(1)
@@ -311,6 +317,23 @@ def test_ltss_fasta_file(capsys, tmp_path):
     path.write_text(">golden\nAGCGAA\nCGGGTA\n")
     assert cli.main(["ltss", "--fasta", "--length-only", str(path)]) == 0
     assert capsys.readouterr().out == "4\n"
+
+
+@pytest.mark.parametrize("argv,data", [
+    (["ltss"], b"ABAB\n"),
+    (["ltss", "--fasta"], b">golden\r\nAGCGAA\r\nCGGGTA\r\n"),
+], ids=["raw", "fasta"])
+def test_byte_order_mark_is_dropped(argv, data, capsys, monkeypatch,
+                                    tmp_path):
+    # a leading BOM is no letter and no header, from a file or from stdin
+    assert run_cli(argv, data, monkeypatch) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    assert run_cli(argv + [str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert run_cli(argv, path.read_bytes(), monkeypatch) == 0
+    assert capsys.readouterr().out == expected
 
 
 # ------------------------------------------------------------ lcss / lis
@@ -402,6 +425,16 @@ def test_lis_enumerate_random_bytes(fmt, head, digest, capsys):
 # two 40-letter strings drawn with random.Random(5)
 DNA_P = "GGATCACAGTCTACACTGCTCACTCCAACCCCGGCCCCTG"
 DNA_S = "AGTCCGAGGAGAGGGTGCTTCAGAGTATGTATACCACTGG"
+
+
+def dna_pair(n):
+    rng = random.Random(5)
+    return ["".join(rng.choice("ACGT") for _ in range(n)) for _ in range(2)]
+
+
+# operands with tens of thousands of optimal solutions: lis has length 2,
+# lcss length 35
+MANY_SOLUTIONS = {"lis": ["2", "1"] * 200, "lcss": dna_pair(60)}
 
 
 def test_lcss_enumerate_dna_bytes(capsys):
@@ -502,6 +535,51 @@ def test_lis_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["length"] == 2
     assert payload["sequences"] == [[[2, 1], [3, 3]], [[1, 2], [3, 3]]]
+
+
+def _lis_lcss_cases():
+    rng = random.Random(44)
+    for _ in range(40):
+        values = [rng.randint(-5, 12) for _ in range(rng.randint(1, 30))]
+        yield ["lis", *map(str, values)]
+    for _ in range(40):
+        yield ["lcss"] + ["".join(rng.choice("ACGT")
+                                  for _ in range(rng.randint(0, 25)))
+                          for _ in range(2)]
+
+
+def test_lis_lcss_enumerate_text_and_json_agree(capsys):
+    # text writes each line as the walk yields it, json builds its lists
+    for command, *operands in _lis_lcss_cases():
+        for count in (1, 7, 10**6):
+            argv = [command, "--enumerate", str(count), *operands]
+            assert cli.main(argv) == 0
+            lines = [ln for ln in capsys.readouterr().out.splitlines()
+                     if ln.startswith(("seq=", "pairs="))]
+            assert cli.main(argv + ["--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            if command == "lis":
+                items = ["seq=%s" % ",".join("%d:%d" % tuple(vp) for vp in seq)
+                         for seq in payload["sequences"]]
+            else:
+                items = ["pairs=%s" % ",".join(
+                    "%d:%d" % pair for pair in zip(w["pPositions"],
+                                                   w["sPositions"]))
+                         for w in payload.get("witnesses", [])]
+            assert lines == items, argv
+            assert bool(items) == bool(payload["length"])
+            assert len(items) <= count
+
+
+# counts whose items, held in a list, would take megabytes
+@pytest.mark.parametrize("command,count", [("lis", 40000), ("lcss", 5000)])
+def test_lis_lcss_enumerate_text_memory_flat(command, count):
+    def peak(n):
+        return peak_bytes([command, "--enumerate", str(n),
+                           *MANY_SOLUTIONS[command]])
+
+    peak(count)    # warm-up: first-call allocations such as lazy imports
+    assert peak(count) <= peak(1) + 2**19
 
 
 def test_lis_any_integers_match_oracles(capsys):
@@ -635,6 +713,39 @@ def test_lis_rejects_stats(capsys):
     assert "unrecognized arguments: --stats" in capsys.readouterr().err
 
 
+# child interpreters under a C locale, whose stdin codec escapes bytes
+# that are not ASCII, and under a UTF-8 locale
+LOCALES = {
+    "C": (["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+    "UTF-8": (["-X", "utf8=0"], {"LC_ALL": "C.UTF-8"}),
+}
+
+
+@pytest.mark.parametrize("locale", sorted(LOCALES))
+@pytest.mark.parametrize("flags,data,code,out", [
+    (["--format", "json"], "ÄÖÄÖ\n".encode("utf-8"), 0,
+     '{"length": 2, "split": 2, "witness": "\\u00c4\\u00d6", '
+     '"occ1": [1, 2], "occ2": [3, 4], "stats": {"matches": 2, '
+     '"lambdaMax": 2, "extractMins": 1, "transfers": [0, 1]}}\n'),
+    ([], NOT_UTF8, 2, ""),
+    (["--length-only"], b"ABAB\r", 0, "2\n"),
+], ids=["utf8", "not-utf8", "lone-cr"])
+def test_stdin_reads_as_file_does(flags, data, code, out, locale, tmp_path):
+    # the same bytes give the same stdout and exit code from either source
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    options, env = LOCALES[locale]
+    env = dict(CHILD_ENV, **env)
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    command = [sys.executable, *options, "-m", "ltss", "ltss", *flags]
+    for argv, stdin in ((command + [str(path)], b""), (command, data)):
+        proc = subprocess.run(argv, input=stdin, capture_output=True,
+                              env=env)
+        assert (proc.returncode, proc.stdout.decode("ascii")) == (code, out)
+        assert proc.stderr.startswith(b"error:") == bool(code)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ltss", "ltss", "--length-only"],
@@ -681,13 +792,16 @@ def test_broken_pipe_returns_1(monkeypatch):
     assert cli.main(["lcss", "AGCG", "AACGGGTA"]) == 1
 
 
-def test_broken_pipe_subprocess_is_quiet():
-    # enough seq= lines to overflow the pipe buffer after head exits
-    values = ["2", "1"] * 200
-    cmd = ("%s -m ltss lis %s --enumerate 40000 | head -n 1"
-           % (sys.executable, " ".join(values)))
+@pytest.mark.parametrize("command,head", [("lis", "length=2\n"),
+                                          ("lcss", "length=35\n")],
+                         ids=["lis", "lcss"])
+def test_broken_pipe_subprocess_is_quiet(command, head):
+    # enough seq= or pairs= lines to overflow the pipe buffer after head
+    # exits, so the pipe breaks in the middle of the walk
+    cmd = ("%s -m ltss %s %s --enumerate 40000 | head -n 1"
+           % (sys.executable, command, " ".join(MANY_SOLUTIONS[command])))
     proc = subprocess.run(["bash", "-o", "pipefail", "-c", cmd],
                           capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.stdout == "length=2\n"
+    assert proc.stdout == head
     assert proc.stderr == ""
     assert proc.returncode == 1

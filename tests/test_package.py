@@ -8,6 +8,7 @@ import io
 import pathlib
 import re
 import shlex
+from types import SimpleNamespace
 
 import ltss
 from ltss import cli, dynamic_lis, string_compare, tandem
@@ -71,7 +72,7 @@ def test_acceptance_runner_lists_every_criterion():
 
 def readme_block(lang):
     """Body of the README's first fenced block tagged lang."""
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     return re.search(r"^```%s\n(.*?)^```$" % lang, text, re.M | re.S).group(1)
 
 
@@ -99,6 +100,7 @@ def test_readme_cli_examples(capsys, monkeypatch):
             stdin = " ".join(shlex.split(echo)[1:]) + "\n"
         argv = shlex.split(command)
         assert argv[0] == "ltss", command
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin",
+                            SimpleNamespace(buffer=io.BytesIO(stdin.encode())))
         assert cli.main(argv[1:]) == 0, command
         assert untimed(capsys.readouterr().out) == untimed(expected), command
