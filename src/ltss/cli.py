@@ -2,9 +2,11 @@
 
 Subcommands: `ltss` (tandem search on one string, from a file, stdin or
 FASTA), `lcss P S` (common subsequence of two strings) and `lis N...`
-(longest increasing subsequence of any integers).  Every input, a file
-or stdin, is read as bytes and decoded as strict UTF-8 whatever the
-locale, and a leading byte-order mark is dropped.
+(longest increasing subsequence of any integers).  Every input is
+decoded from its bytes as strict UTF-8 whatever the locale: a file or
+stdin, which drops a leading byte-order mark, and the `lcss` strings of
+the process command line, as the OS passed them.  Strings given to
+main() in a list are taken as they are.
 Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
 and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
@@ -63,6 +65,15 @@ def _read_source(path):
         return data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc))
+
+
+def _operand_text(arg):
+    # the interpreter decoded the command line with the locale's codec,
+    # which escapes what it cannot read; fsencode restores the OS's bytes
+    try:
+        return os.fsencode(arg).decode("utf-8")
+    except UnicodeError as exc:
+        raise InputError("command-line string is not UTF-8: %s" % exc)
 
 
 def _stats_payload(st):
@@ -288,6 +299,8 @@ def main(argv=None):
     try:
         if args.enumerate is not None and args.enumerate < 1:
             raise InputError("--enumerate expects a positive count")
+        if argv is None and args.command == "lcss":
+            args.p, args.s = map(_operand_text, (args.p, args.s))
         return args.func(args)
     except (InputError, UnicodeEncodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -28,10 +28,12 @@ only on the sequence of surviving appends, so positional_levels() builds
 them from (tag, values) runs with one patience pass (Hunt and Szymanski,
 1977) and walk_lis() walks them: all_lis() feeds each survivor of the
 log as a run of one, a MatchIndex each prefix letter's live match list
-as it is, the same run the scan's comparator feeds extend().  The walk's
-windows are slices of a level's tags and values, and it rewrites one
-(tags, values) slot pair per level in place, so match runs tagged by
-prefix positions give a witness's p and s positions as they are.  Each
+as it is, the same run the scan's comparator feeds extend().  The walk
+opens each window with one bisect on tags and one value comparison,
+takes a one-item window straight into its slots and zips only a wider
+one from slices.  It rewrites one (tags, values) slot pair per level in
+place, so match runs tagged by prefix positions give a witness's p and
+s positions as they are.  Each
 walk item says how many leading levels it rewrote: consecutive items
 share every level above that, so a consumer that formats items redoes
 only the rewritten ones.  enumerate_lis() yields a copy of each item.
@@ -265,20 +267,21 @@ def positional_levels(runs):
     return list(zip(values, tags))
 
 
-def _window(level, value, tag):
-    # (tag, value) items of a level below a chosen (value, tag): the slice
-    # from the first value strictly below value up to the first tag not
-    # below tag.  One sharing the chosen tag lies above the chosen value.
-    values, tags = level
-    start = bisect_right(values, -value, key=neg)
-    stop = bisect_left(tags, tag, start)
-    return zip(tags[start:stop], values[start:stop])
+_TAKEN = iter(())   # the frame of a one-item window, taken in place
 
 
 def walk_lis(levels):
     """Walk every longest strictly increasing subsequence of the levels'
     history, level 1 first, the maximal value chain first, from one open
-    window and one (tag, value) slot per level.  Each item is
+    window and one (tag, value) slot per level.  The top window is the
+    whole top level.  Below a chosen (value, tag), level k's window runs
+    from the first value strictly below value up to the first tag not
+    below tag.  Its last item is the entry that was level k's tail when
+    the chosen one arrived, so one bisect on tags and one value comparison
+    tell a one-item window from a wider one.  A one-item window goes
+    straight into its slots, and its frame is an exhausted iterator that
+    the climb passes over.  Only a wider window is zipped from slices, its
+    start one more step back or a bisect on values.  Each item is
     (rewritten, tags, values): the walk's own slot lists, rewritten in
     place, and how many leading slots it reassigned since the previous
     item (all of them on the first).  Slots from rewritten up still hold
@@ -291,12 +294,30 @@ def walk_lis(levels):
     values = [None] * lam
     frames = [None] * lam
     k = top = lam - 1
-    frames[k] = _window(levels[k], INF, INF)
+    frames[k] = zip(levels[k][1], levels[k][0])
     while k < lam:
         for tags[k], values[k] in frames[k]:
             if k:
-                k -= 1
-                frames[k] = _window(levels[k], values[k + 1], tags[k + 1])
+                tag = tags[k]
+                value = values[k]
+                while k:
+                    k -= 1
+                    level_values, level_tags = levels[k]
+                    last = bisect_left(level_tags, tag) - 1
+                    if last and level_values[last - 1] < value:
+                        start = last - 1
+                        if start and level_values[start - 1] < value:
+                            start = bisect_right(level_values, -value, 0,
+                                                 start - 1, key=neg)
+                        frames[k] = zip(level_tags[start:last + 1],
+                                        level_values[start:last + 1])
+                        break
+                    tag = tags[k] = level_tags[last]
+                    value = values[k] = level_values[last]
+                    frames[k] = _TAKEN
+                else:
+                    yield top + 1, tags, values
+                    top = 0
                 break
             yield top + 1, tags, values
             top = 0

@@ -1,6 +1,8 @@
-"""Shared test plumbing: structure builders and randomized trace drivers."""
+"""Shared test plumbing: structure builders, randomized trace drivers and
+reference implementations of the structure's fast paths."""
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import neg
 
 from ltss.dynamic_lis import INF, ThresholdLevels, ThresholdStructure
 
@@ -81,3 +83,38 @@ class ReferenceLevels(ThresholdLevels):
         stats.cascade_steps += k - 1
         stats.search_steps += probes
         stats.structure_steps += steps
+
+
+def _window(level, value, tag):
+    # (tag, value) items of a level below a chosen (value, tag): the slice
+    # from the first value strictly below value up to the first tag not
+    # below tag.  One sharing the chosen tag lies above the chosen value.
+    values, tags = level
+    start = bisect_right(values, -value, key=neg)
+    stop = bisect_left(tags, tag, start)
+    return zip(tags[start:stop], values[start:stop])
+
+
+def reference_walk_lis(levels):
+    """The walk that opens every window with _window, two bisects and two
+    slices each; the reference for walk_lis, item for item."""
+    if not levels:
+        raise ValueError("no increasing subsequence in an empty history")
+    lam = len(levels)
+    tags = [None] * lam
+    values = [None] * lam
+    frames = [None] * lam
+    k = top = lam - 1
+    frames[k] = _window(levels[k], INF, INF)
+    while k < lam:
+        for tags[k], values[k] in frames[k]:
+            if k:
+                k -= 1
+                frames[k] = _window(levels[k], values[k + 1], tags[k + 1])
+                break
+            yield top + 1, tags, values
+            top = 0
+        else:
+            # the climb ends on the level that takes its next window item
+            k += 1
+            top = k

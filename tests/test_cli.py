@@ -746,6 +746,41 @@ def test_stdin_reads_as_file_does(flags, data, code, out, locale, tmp_path):
         assert proc.stderr.startswith(b"error:") == bool(code)
 
 
+@pytest.mark.parametrize("locale", sorted(LOCALES))
+@pytest.mark.parametrize("operands,code,out", [
+    (["ÄB".encode("utf-8")] * 2, 0,
+     '{"length": 2, "witness": "\\u00c4B", "pPositions": [1, 2], '
+     '"sPositions": [1, 2]}\n'),
+    ([b"A\xffB", b"AB"], 2, ""),
+], ids=["utf8", "not-utf8"])
+def test_lcss_command_line_reads_utf8(operands, code, out, locale):
+    # the operands' bytes give the same answer under either locale
+    options, env = LOCALES[locale]
+    env = dict(CHILD_ENV, **env)
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    proc = subprocess.run(
+        [sys.executable, *options, "-m", "ltss", "lcss", "--format", "json",
+         *operands], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout.decode("ascii")) == (code, out)
+    assert proc.stderr.startswith(b"error:") == bool(code)
+
+
+def test_lcss_operands_in_process(capsys, monkeypatch):
+    # strings given to main() are kept as they are; only the process
+    # command line, as the C locale's codec escapes it, is decoded again
+    escaped = "ÄB".encode("utf-8").decode("ascii", "surrogateescape")
+    assert cli.main(["lcss", "--length-only", escaped, escaped]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert cli.main(["lcss", "--length-only", "ÄB", "ÄB"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    operand = os.fsdecode("ÄB".encode("utf-8"))
+    monkeypatch.setattr("sys.argv",
+                        ["ltss", "lcss", "--length-only", operand, operand])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ltss", "ltss", "--length-only"],

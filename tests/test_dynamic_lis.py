@@ -21,7 +21,7 @@ from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
 from ltss.tandem import split_levels
 
 from helpers import (WORKED_STREAM, ReferenceLevels, build_structure,
-                     drop_min, random_ops)
+                     drop_min, random_ops, reference_walk_lis)
 
 # the six longest increasing subsequences of the worked stream after one
 # extract-min and appends of 8 and 2, in enumeration order
@@ -337,6 +337,20 @@ def test_all_lis_non_integer_values(scale):
             enumerate_lis_naive(values)
 
 
+def test_all_lis_infinite_values():
+    # the top window is the whole top level, so a subsequence may end at
+    # +inf; a window below a chosen +inf holds every value below it
+    assert list(build_structure([INF]).all_lis()) == [((INF, 1),)]
+    assert list(build_structure([1, INF]).all_lis()) == [((1, 1), (INF, 2))]
+    rng = random.Random(37)
+    for _ in range(200):
+        values = [rng.choice([-INF, INF, 1, 2, 3])
+                  for _ in range(rng.randint(1, 10))]
+        got = list(build_structure(values).all_lis())
+        assert {tuple(p for _, p in seq) for seq in got} == \
+            enumerate_lis_naive(values)
+
+
 def check_walk_rewrites(levels):
     # every caller's (tag, value) pairs are distinct, so a climb to level
     # k takes that level's next window item and the top rewritten slot
@@ -371,6 +385,81 @@ def test_walk_rewrite_count():
     assert walked > 100
     with pytest.raises(ValueError):
         next(walk_lis([]))
+
+
+def walked(walk, levels, limit=3000):
+    # each item copied as it is yielded: the walk rewrites its slots in place
+    return [(rewritten, tags[:], values[:])
+            for rewritten, tags, values in islice(walk(levels), limit)]
+
+
+def check_walk_matches_reference(levels):
+    got = walked(walk_lis, levels)
+    assert got and got == walked(reference_walk_lis, levels)
+
+
+def test_walk_matches_reference_walk():
+    rng = random.Random(43)
+    for size in range(1, 6):
+        alphabet = "ACGTN"[:size]
+        for _ in range(40):
+            f = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
+            levels = split_levels(f, rng.randint(0, len(f)))
+            if levels:
+                check_walk_matches_reference(levels)
+    for n in (2, 7, 30, 101):
+        check_walk_matches_reference(split_levels("A" * n, n // 2))
+    for _ in range(200):
+        values = [rng.randint(-4, 4) for _ in range(rng.randint(1, 30))]
+        check_walk_matches_reference(
+            positional_levels(enumerate(zip(values), 1)))
+    for scale in (lambda k: k / 2, lambda k: Fraction(k, 3)):
+        for _ in range(60):
+            ts = ThresholdStructure()
+            for _ in range(rng.randint(1, 40)):
+                if ts.size and rng.random() < 0.2:
+                    ts.extract_min()
+                else:
+                    ts.append(scale(rng.randint(-6, 6)))
+            if ts.size:
+                check_walk_matches_reference(ts._survivor_levels())
+
+
+def test_walk_window_shapes():
+    # hand-built levels of lis histories, one value per tag; each case
+    # names the windows that the walk opens below level 2
+    cases = [
+        # one item, the level's only entry
+        ([2, 3], [([2], [1]), ([3], [2])],
+         [(2, [1, 2], [2, 3])]),
+        # one item after a value above the chosen one, or equal to it
+        ([5, 1, 3], [([5, 1], [1, 2]), ([3], [3])],
+         [(2, [2, 3], [1, 3])]),
+        ([3, 2, 3], [([3, 2], [1, 2]), ([3], [3])],
+         [(2, [2, 3], [2, 3])]),
+        # two items, the step back reaching a value above the chosen one,
+        # or equal to it
+        ([5, 2, 1, 3], [([5, 2, 1], [1, 2, 3]), ([3], [4])],
+         [(2, [2, 4], [2, 3]), (1, [3, 4], [1, 3])]),
+        ([4, 2, 1, 4], [([4, 2, 1], [1, 2, 3]), ([4], [4])],
+         [(2, [2, 4], [2, 4]), (1, [3, 4], [1, 4])]),
+        # two items ending before a later entry with a smaller value
+        ([3, 1, 4, 0, 2], [([3, 1, 0], [1, 2, 4]), ([4, 2], [3, 5])],
+         [(2, [1, 3], [3, 4]), (1, [2, 3], [1, 4]),
+          (2, [2, 5], [1, 2]), (1, [4, 5], [0, 2])]),
+        # three items from the bisect, whose start leaves out a value
+        # equal to the chosen one just before it
+        ([5, 4, 3, 2, 1, 4], [([5, 4, 3, 2, 1], [1, 2, 3, 4, 5]), ([4], [6])],
+         [(2, [3, 6], [3, 4]), (1, [4, 6], [2, 4]), (1, [5, 6], [1, 4])]),
+        # four items from the bisect over the whole level before them
+        ([3, 2, 1, 0, 4], [([3, 2, 1, 0], [1, 2, 3, 4]), ([4], [5])],
+         [(2, [1, 5], [3, 4]), (1, [2, 5], [2, 4]), (1, [3, 5], [1, 4]),
+          (1, [4, 5], [0, 4])]),
+    ]
+    for history, levels, items in cases:
+        assert positional_levels(enumerate(zip(history), 1)) == levels
+        assert walked(walk_lis, levels) == items
+        assert walked(reference_walk_lis, levels) == items
 
 
 def test_trace_invariants_and_oracle_equivalence():

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.dynamic_lis import INF, ThresholdStructure, _window
+from ltss.dynamic_lis import INF, ThresholdStructure
 
-from helpers import build_structure
+from helpers import _window, build_structure
 
 
 def decreasing_keys():
