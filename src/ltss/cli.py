@@ -4,9 +4,12 @@ Subcommands: `ltss` (tandem search on one string, from a file, stdin or
 FASTA), `lcss P S` (common subsequence of two strings) and `lis N...`
 (longest increasing subsequence of any integers).  Every input is
 decoded from its bytes as strict UTF-8 whatever the locale: a file or
-stdin, which drops a leading byte-order mark, and the `lcss` strings of
-the process command line, as the OS passed them.  Strings given to
-main() in a list are taken as they are.
+stdin, which drops a leading byte-order mark, and the `lcss` strings and
+`lis` values of the process command line, as the OS passed them.
+Strings given to main() in a list are taken as they are.
+An `ltss` request scans once; `--length-only` prints the scan's length,
+and every other request walks one build of the winning split, witness
+first, then the `--enumerate` tandems.  main() builds its parser once.
 Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
 and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
@@ -16,13 +19,13 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, islice
 from operator import itemgetter
 
-from . import oracle
-from .dynamic_lis import enumerate_lis, positional_levels, walk_lis
+from . import oracle, tandem
+from .dynamic_lis import enumerate_lis, positional_levels
 from .string_compare import MatchIndex
-from .tandem import compute_ltss, split_levels, split_tandems
 
 
 class InputError(Exception):
@@ -99,17 +102,16 @@ def _csv(values):
     return ",".join(map(str, values))
 
 
-def _print_tandems(f, split, count):
-    """Print a tandem= line for each of the first count tandems at the
-    split as the walk yields it.  Consecutive tandems share every level
-    above the walk's rewrite count, so each line converts only the
+def _print_tandems(f, lam, walk):
+    """Print a tandem= line for each item of a walk over f's split levels
+    of length lam as the walk yields it.  Consecutive tandems share every
+    level above the walk's rewrite count, so each line converts only the
     rewritten levels' letters and decimals and joins the rest as kept."""
-    levels = split_levels(f, split)
     padded = " " + f     # 1-based positions
     decimal = list(map(str, range(len(f) + 1)))
-    word, first, second = ([None] * len(levels) for _ in range(3))
+    word, first, second = ([None] * lam for _ in range(3))
     write = sys.stdout.write
-    for r, tags, values in islice(walk_lis(levels), count):
+    for r, tags, values in walk:
         if r == 1:
             # an itemgetter of one index returns its item bare
             t = tags[0]
@@ -128,7 +130,11 @@ def cmd_ltss(args):
     if args.verify and len(f) > oracle.BITPARALLEL_GUARD:
         raise InputError("--verify supports strings up to %d letters"
                          % oracle.BITPARALLEL_GUARD)
-    res = compute_ltss(f)
+    scan = tandem._scan(f)
+    if args.length_only and not args.verify:
+        print(scan[0])
+        return 0
+    res, walk = tandem.solve(f, scan)
     if args.verify:
         ref = oracle.bitparallel_ltss(f)
         ok = (ref == (res.length, res.split_index)
@@ -154,7 +160,7 @@ def cmd_ltss(args):
         if show_tandems:
             payload["tandems"] = [
                 {"witness": w, "occ1": a, "occ2": b} for w, a, b in
-                islice(split_tandems(f, res.split_index), args.enumerate)]
+                tandem.walk_tandems(f, islice(walk, args.enumerate))]
         print(json.dumps(payload))
         return 0
     print("length=%d" % res.length)
@@ -163,7 +169,7 @@ def cmd_ltss(args):
     print("occ1=%s" % _csv(res.first_occurrence))
     print("occ2=%s" % _csv(res.second_occurrence))
     if show_tandems:
-        _print_tandems(f, res.split_index, args.enumerate)
+        _print_tandems(f, res.length, islice(walk, args.enumerate))
     if args.stats:
         _print_stats_text(res.stats)
     return 0
@@ -230,10 +236,14 @@ def cmd_lcss(args):
 
 
 def cmd_lis(args):
-    levels = positional_levels(enumerate(zip(args.values), 1))
+    try:
+        numbers = list(map(int, args.values))
+    except ValueError as exc:
+        raise InputError(str(exc))
+    levels = positional_levels(enumerate(zip(numbers), 1))
     length = len(levels)
     if args.verify:
-        ref = oracle.patience_lis(args.values)
+        ref = oracle.patience_lis(numbers)
         if ref != length:
             print("verify mismatch: got length=%d, oracle length=%d"
                   % (length, ref), file=sys.stderr)
@@ -255,6 +265,7 @@ def cmd_lis(args):
     return 0
 
 
+@cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -289,7 +300,7 @@ def _build_parser():
 
     p_lis = sub.add_parser("lis", parents=[common],
                            help="longest increasing subsequence of numbers")
-    p_lis.add_argument("values", nargs="+", type=int)
+    p_lis.add_argument("values", nargs="+")
     p_lis.set_defaults(func=cmd_lis)
     return parser
 
@@ -301,6 +312,8 @@ def main(argv=None):
             raise InputError("--enumerate expects a positive count")
         if argv is None and args.command == "lcss":
             args.p, args.s = map(_operand_text, (args.p, args.s))
+        elif argv is None and args.command == "lis":
+            args.values = list(map(_operand_text, args.values))
         return args.func(args)
     except (InputError, UnicodeEncodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

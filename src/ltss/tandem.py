@@ -5,13 +5,16 @@ drops letter t off the suffix and appends it to the prefix, so the tracked
 length is the common-subsequence length of F[1..t] against F[t+1..n].  The
 best split (earliest on ties) then yields a witness and its two disjoint
 occurrences from one positional build of F[1..t] over F[t+1..n].
+compute_ltss and the CLI scan through _scan and take the witness from
+solve, whose walk an enumerating caller continues.
 """
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
-from .dynamic_lis import enumerate_lis
+from .dynamic_lis import walk_lis
 from .string_compare import Comparator, MatchIndex
 
 
@@ -100,27 +103,43 @@ def split_levels(f, split):
         index.by_letter[letter].pop()   # the list tail, as a drop pops it
     return index.levels(f[:split])
 
+def split_walk(f, split):
+    """walk_lis over split_levels(f, split); a split with no common letter
+    walks the one empty item."""
+    levels = split_levels(f, split)
+    return walk_lis(levels) if levels else iter([(0, [], [])])
+
+def walk_tandems(f, walk):
+    """Yield (witness, first_occurrence, second_occurrence) for each item
+    of a split walk, copied out of the walk's slots."""
+    padded = " " + f     # 1-based positions
+    for _, tags, values in walk:
+        # one letter comes back bare, and joins to itself
+        yield ("".join(itemgetter(*tags)(padded)) if tags else "",
+               tags[:], values[:])
+
 def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
     maximal tandem at the split, in enumeration order, from one positional
     build; a split with no common letter yields the one empty tandem."""
-    levels = split_levels(f, split)
-    if not levels:
-        yield ("", [], [])
-        return
-    padded = " " + f     # 1-based positions
-    for first, second in enumerate_lis(levels):
-        # one letter comes back bare, and joins to itself
-        yield "".join(itemgetter(*first)(padded)), first, second
+    yield from walk_tandems(f, split_walk(f, split))
+
+def solve(f, scan):
+    """The LtssResult of a _scan(f) answer, and the split walk whose first
+    item gave its witness: the walk yields that item again, slots intact."""
+    best_len, best_split, stats = scan
+    walk = split_walk(f, best_split)
+    item = next(walk)
+    witness, first, second = next(walk_tandems(f, (item,)))
+    return (LtssResult(best_len, best_split, witness, first, second, stats),
+            chain((item,), walk))
 
 def compute_ltss(f):
     """Longest subsequence occurring twice without overlap in the str f,
     with the scan's instrumentation attached as .stats."""
     if not isinstance(f, str):
         raise TypeError("compute_ltss expects a str, got %s" % type(f).__name__)
-    best_len, best_split, stats = _scan(f)
-    witness, first, second = next(split_tandems(f, best_split))
-    return LtssResult(best_len, best_split, witness, first, second, stats)
+    return solve(f, _scan(f))[0]
 
 def ltss_stats(f):
     """Run the scan alone and report its instrumentation, the RunStats

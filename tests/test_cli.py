@@ -1,6 +1,7 @@
 """CLI tests: input parsing, the three documented invocations, output
 formats, verify/exit codes, and error handling."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -217,6 +218,36 @@ def test_ltss_scans_once(argv, built, capsys, monkeypatch):
     assert set(strings) == {GOLDEN}
 
 
+@pytest.mark.parametrize("argv,built", [
+    (["--length-only"], 0),         # the scan's length needs no build
+    (["--length-only", "--verify"], 1),
+    ([], 1),
+    (["--format", "json"], 1),
+    (["--stats"], 1),
+    (["--enumerate", "3"], 1),      # the witness's walk goes on
+    (["--format", "json", "--enumerate", "3"], 1),
+])
+def test_ltss_builds_split_once(argv, built, capsys, monkeypatch):
+    builds, walks = [], []
+    real_levels = string_compare.MatchIndex.levels
+    real_walk = tandem.walk_lis
+
+    def levels(index, p):
+        builds.append(p)
+        return real_levels(index, p)
+
+    def walk_lis(split_levels):
+        walks.append(len(split_levels))
+        return real_walk(split_levels)
+
+    monkeypatch.setattr(string_compare.MatchIndex, "levels", levels)
+    monkeypatch.setattr(tandem, "walk_lis", walk_lis)
+    assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
+    capsys.readouterr()
+    assert builds == [GOLDEN[:5]] * built
+    assert walks == [4] * built
+
+
 def _perfbench_corpus():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
@@ -264,7 +295,8 @@ def _split_tandem_cases():
 
 
 def test_ltss_enumerate_text_and_json_agree(capsys, monkeypatch):
-    # text walks the split's levels itself, json takes split_tandems
+    # text and json continue the walk that gave the witness; the library's
+    # split_tandems walks a build of its own
     for f, counts in _split_tandem_cases():
         res = tandem.compute_ltss(f)
         for count in counts:
@@ -697,6 +729,7 @@ NOT_UTF8 = b"AC\xffGT\n"
     (["ltss", "--fasta"], "ACGT\n"),
     (["ltss", "not-utf8.txt"], None),
     (["ltss"], NOT_UTF8),
+    (["lis", "1", "x"], None),
 ])
 def test_input_errors_exit_2(argv, stdin, capsys, monkeypatch, tmp_path):
     (tmp_path / "not-utf8.txt").write_bytes(NOT_UTF8)
@@ -746,6 +779,16 @@ def test_stdin_reads_as_file_does(flags, data, code, out, locale, tmp_path):
         assert proc.stderr.startswith(b"error:") == bool(code)
 
 
+def run_under(locale, argv):
+    """`python -m ltss *argv` in a child interpreter under the locale."""
+    options, env = LOCALES[locale]
+    env = dict(CHILD_ENV, **env)
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, *options, "-m", "ltss", *argv],
+                          capture_output=True, env=env)
+
+
 @pytest.mark.parametrize("locale", sorted(LOCALES))
 @pytest.mark.parametrize("operands,code,out", [
     (["ÄB".encode("utf-8")] * 2, 0,
@@ -755,13 +798,21 @@ def test_stdin_reads_as_file_does(flags, data, code, out, locale, tmp_path):
 ], ids=["utf8", "not-utf8"])
 def test_lcss_command_line_reads_utf8(operands, code, out, locale):
     # the operands' bytes give the same answer under either locale
-    options, env = LOCALES[locale]
-    env = dict(CHILD_ENV, **env)
-    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
-        env.pop(name, None)
-    proc = subprocess.run(
-        [sys.executable, *options, "-m", "ltss", "lcss", "--format", "json",
-         *operands], capture_output=True, env=env)
+    proc = run_under(locale, ["lcss", "--format", "json", *operands])
+    assert (proc.returncode, proc.stdout.decode("ascii")) == (code, out)
+    assert proc.stderr.startswith(b"error:") == bool(code)
+
+
+@pytest.mark.parametrize("locale", sorted(LOCALES))
+@pytest.mark.parametrize("operands,code,out", [
+    (["１２".encode("utf-8"), b"3"], 0, "1\n"),
+    ([b"3", b"-1", b"0", b"2", b"-1", b"5"], 0, "4\n"),
+    ([b"1\xff", b"2"], 2, ""),
+    ([b"1", b"x"], 2, ""),
+], ids=["utf8", "negative", "not-utf8", "not-int"])
+def test_lis_command_line_reads_utf8(operands, code, out, locale):
+    # int() reads the values as the OS passed their bytes, decoded as UTF-8
+    proc = run_under(locale, ["lis", "--length-only", *operands])
     assert (proc.returncode, proc.stdout.decode("ascii")) == (code, out)
     assert proc.stderr.startswith(b"error:") == bool(code)
 
@@ -779,6 +830,54 @@ def test_lcss_operands_in_process(capsys, monkeypatch):
                         ["ltss", "lcss", "--length-only", operand, operand])
     assert cli.main() == 0
     assert capsys.readouterr().out == "2\n"
+
+
+def test_parser_is_shared_between_calls(capsys, monkeypatch, tmp_path):
+    # one process answers a run of different calls as each alone would:
+    # no flag or value of one call carries over to the next, and only
+    # the first call builds the argument parser
+    path = tmp_path / "golden.txt"
+    path.write_text(GOLDEN + "\n")
+    calls = [
+        ["lis", "--enumerate", "2", "3", "-1", "0", "2", "-1", "5"],
+        ["ltss", "--stats", str(path)],
+        ["ltss", str(path)],
+        ["lcss", "--format", "json", "AGCG", "AACGGGTA"],
+        ["lcss", "AGCG", "AACGGGTA"],
+        ["lis", "1", "x"],
+        ["ltss", "--format", "json", "--enumerate", "2", str(path)],
+        ["ltss", "--length-only", str(path)],
+        ["lis", "3", "1", "2"],
+    ]
+
+    def without_time(text):
+        return "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith("time_ms="))
+
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "ltss", *argv],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        alone.append((proc.returncode, without_time(proc.stdout),
+                      proc.stderr))
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    together, parsers = [], []
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        together.append((code, without_time(captured.out), captured.err))
+        parsers.append(len(built))
+    assert together == alone
+    assert built.count("ltss") == 1
+    assert parsers == [parsers[0]] * len(calls)
 
 
 def test_module_entry_point():
