@@ -37,39 +37,64 @@ s positions as they are.  Each
 walk item says how many leading levels it rewrote: consecutive items
 share every level above that, so a consumer that formats items redoes
 only the rewritten ones.  enumerate_lis() yields a copy of each item.
+
+Every structure counts its work in a Counters, always on.  The extract
+cascade tallies no entry transfers: an entry only moves down, one level
+per cut or whole-level shift, until it is extracted at level 1 or merged
+away at a boundary, so
+
+  moved out of level k = entries landed at levels >= k
+                         - entries merged away at levels >= k
+                         - entries alive at levels >= k
+
+extend() tallies each entry it adds on its landing level, a merge takes
+one off its level's tally, and Counters.transfers_out sums the tallies
+and the live level lengths from the top level down, O(lambda) per read.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import add, neg, sub
+from itertools import accumulate, takewhile
+from operator import neg, sub
 
 INF = math.inf
 
 
 class Counters:
-    """Lifetime instrumentation: call counts, per-level transfer totals,
-    and search/structure steps for the scaling checks, tallied once per
-    call rather than once per elementary step; an extract tallies its
-    whole cascade from the (width, cut) of every level it cut."""
+    """Lifetime instrumentation: call counts, search and structure steps
+    for the scaling checks, and the per-level landing tally that the
+    transfer totals are derived from when read.  The scalar counts are
+    added once per call; per value, extend counts its bisect probes and
+    landing level, and an extract's level loop the bit length of each cut
+    level's width and each merge."""
 
     __slots__ = ("append_calls", "extract_min_calls", "cascade_steps",
-                 "level_transfers", "search_steps", "structure_steps")
+                 "search_steps", "structure_steps", "landed", "_levels")
 
-    def __init__(self):
+    def __init__(self, levels):
         self.append_calls = 0
         self.extract_min_calls = 0
         self.cascade_steps = 0     # levels cut by extract cascades
-        self.level_transfers = []  # [k-2]: entries moved from level k to k-1
         self.search_steps = 0      # bisect probes, bounded by bit lengths
         self.structure_steps = 0   # inserts, removals, splits, concatenates
+        self.landed = []     # [k-1]: entries added at level k, less merges there
+        self._levels = levels      # the live levels, read for their lengths
 
     @property
     def transfers_out(self):
         """Level k -> entries moved from k to k-1, for every level that has
-        moved any.  A cascade cuts levels 2, 3, ... in turn and each cut
-        moves at least one entry, so the totals have no gaps."""
-        return dict(enumerate(self.level_transfers, 2))
+        moved any, derived by conservation (see the module docstring): the
+        entries that landed at levels >= k, less merges there, and are no
+        longer alive there.  One suffix sum, O(lambda) per read.  A cascade
+        cuts levels 2, 3, ... in turn and each cut moves at least one
+        entry, so the totals have no gaps: the first zero ends them."""
+        landed = self.landed
+        alive = [len(level) for level in self._levels]
+        alive += [0] * (len(landed) - len(alive))
+        # gone[i]: entries that left level len(landed) - i, level 1 last
+        gone = list(accumulate(map(sub, reversed(landed), reversed(alive))))
+        return dict(enumerate(takewhile(bool, gone[-2::-1]), 2))
 
     def tree_ops(self):
         """Total elementary operations performed by the structure."""
@@ -86,7 +111,7 @@ class ThresholdLevels:
     def __init__(self):
         self._levels = []    # negated keys per level, ascending
         self._mins = []      # _mins[k-1] == -self._levels[k-1][-1], always
-        self.stats = Counters()
+        self.stats = Counters(self._levels)
 
     @property
     def lis_length(self):
@@ -111,6 +136,8 @@ class ThresholdLevels:
         n = len(values)     # before any state changes: values must be sized
         mins = self._mins
         levels = self._levels
+        stats = self.stats
+        landed = stats.landed
         probes = 0
         top = i = len(mins)
         prev = INF
@@ -123,12 +150,15 @@ class ThresholdLevels:
                 top += 1
                 mins.append(v)
                 levels.append([-v])
+                if i == len(landed):
+                    landed.append(0)
+                landed[i] += 1
             elif mins[i] != v:
                 # an equal tail collapses the value into that tail's entry
                 mins[i] = v
                 levels[i].append(-v)
+                landed[i] += 1
             prev = v
-        stats = self.stats
         stats.append_calls += n
         stats.search_steps += probes
         stats.structure_steps += n
@@ -138,20 +168,22 @@ class ThresholdLevels:
         the tail chain: whenever a level's new minimum is not below the
         tail of the level above, the offending suffix of the upper level
         (its keys at most the lower minimum) moves down one level, merging
-        equal boundary keys.  The level loop only moves slices and records
-        each cut level's (width, cut).  A level the cascade empties is
-        deleted, so every level above it moves down whole, each still
-        counted as a cut level that moves its full width.  The tail chain
-        shifts and the counters are tallied once, after the loop."""
+        equal boundary keys.  Besides that structural work the level loop
+        counts only each cut's probes and each merge, the merge on its
+        level's landing tally, so the transfer totals need no tally here.
+        A level the cascade empties is deleted, so every level above it
+        moves down whole, each still counted as a cut level that moves
+        its full width.  The tail chain shifts once, after the loop."""
         mins = self._mins
         if not mins:
             raise ValueError("extract_min on empty structure")
         levels = self._levels
+        stats = self.stats
+        landed = stats.landed
         below = levels[0]
-        held = len(below)    # entries on level 1 before the extract
         below.pop()
         lam = len(mins)
-        cuts = []       # width, cut of each level the loop cuts, flattened
+        probes = merges = 0
         k = 1
         while k < lam and below:
             tail = below[-1]
@@ -159,34 +191,29 @@ class ThresholdLevels:
             if tail > upper[-1]:
                 break
             cut = bisect_left(upper, tail)
+            probes += len(upper).bit_length()
             if tail == upper[cut]:
                 below.pop()
+                landed[k - 1] -= 1
+                merges += 1
             below += upper[cut:]
-            cuts += len(upper), cut
             del upper[cut:]
             below = upper
             k += 1
-        widths = cuts[::2]
-        moved = list(map(sub, widths, cuts[1::2]))
-        # a merge is the one step that drops an entry, so the levels the
-        # loop touched lost the extracted entry plus one per merge
-        removals = held + sum(widths) - sum(map(len, levels[:k]))
         del mins[0]
         if below:
             mins.insert(k - 1, -below[-1])
+            steps = k - 1
         else:
             del levels[k - 1]
-            shifted = list(map(len, levels[k - 1:]))
-            widths += shifted
-            moved += shifted
-        stats = self.stats
+            probes += sum(len(level).bit_length() for level in levels[k - 1:])
+            steps = len(levels)     # the cut levels and those shifted whole
         stats.extract_min_calls += 1
-        stats.cascade_steps += len(widths)
-        stats.search_steps += sum(map(int.bit_length, widths))
-        stats.structure_steps += removals + 2 * len(widths)
-        totals = stats.level_transfers
-        totals += [0] * (len(widths) - len(totals))
-        totals[:len(widths)] = map(add, totals, moved)
+        stats.cascade_steps += steps
+        stats.search_steps += probes
+        # the extract and each merge remove an entry; a cut level is split
+        # off and concatenated below
+        stats.structure_steps += 1 + merges + 2 * steps
 
 
 class ThresholdStructure(ThresholdLevels):

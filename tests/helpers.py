@@ -5,6 +5,8 @@ from bisect import bisect_left, bisect_right
 from operator import neg
 
 from ltss.dynamic_lis import INF, ThresholdLevels, ThresholdStructure
+from ltss.string_compare import Comparator
+from ltss.tandem import RunStats
 
 WORKED_STREAM = [8, 2, 1, 6, 5, 4, 3, 6, 5, 4]
 
@@ -36,9 +38,20 @@ def drop_min(shadow):
 class ReferenceLevels(ThresholdLevels):
     """Threshold levels whose extract cascade steps one level at a time,
     shifting the tail chain and tallying every counter per step, as the
-    cascade first did; the reference for the batched cascade."""
+    cascade first did; the reference for the batched cascade.  It keeps
+    its own per-level tally of the entries each step moves, in transfers;
+    its merges leave the landing tally alone, so its
+    Counters.transfers_out is no reference."""
 
-    __slots__ = ()
+    __slots__ = ("moved",)
+
+    def __init__(self):
+        super().__init__()
+        self.moved = []     # [k-2]: entries moved from level k to k-1
+
+    @property
+    def transfers(self):
+        return dict(enumerate(self.moved, 2))
 
     def extract_min(self):
         mins = self._mins
@@ -48,7 +61,7 @@ class ReferenceLevels(ThresholdLevels):
         below = levels[0]
         below.pop()
         stats = self.stats
-        totals = stats.level_transfers
+        totals = self.moved
         probes = 0
         steps = 1
         lam = len(mins)
@@ -83,6 +96,23 @@ class ReferenceLevels(ThresholdLevels):
         stats.cascade_steps += k - 1
         stats.search_steps += probes
         stats.structure_steps += steps
+
+
+def reference_run_stats(f):
+    """The RunStats of a split scan whose comparator drives ReferenceLevels,
+    transfers taken from the reference's own tally and elapsed left 0."""
+    comp = Comparator(f)
+    ts = comp.ts = ReferenceLevels()
+    best_len = 0
+    for t in range(1, len(f)):
+        comp.drop_front_of_s()
+        comp.append_to_p(f[t - 1])
+        best_len = max(best_len, ts.lis_length)
+    st = ts.stats
+    return RunStats(n=len(f), matches=st.append_calls, lambda_max=best_len,
+                    extract_mins=st.extract_min_calls,
+                    cascade_steps=st.cascade_steps, transfers=ts.transfers,
+                    tree_ops=st.tree_ops(), elapsed=0.0)
 
 
 def _window(level, value, tag):

@@ -2,6 +2,7 @@
 differential checks against the brute-force oracles, and the structural
 invariants after randomized traces."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,11 @@ from ltss.tandem import split_levels
 from helpers import (WORKED_STREAM, ReferenceLevels, build_structure,
                      drop_min, random_ops, reference_walk_lis)
 
+# the counters a cascade adds to; Counters.__slots__ adds the landing tally
+# and the levels that transfers_out reads
+COUNTS = ("append_calls", "extract_min_calls", "cascade_steps",
+          "search_steps", "structure_steps")
+
 # the six longest increasing subsequences of the worked stream after one
 # extract-min and appends of 8 and 2, in enumeration order
 WORKED_ENUMERATION = [
@@ -41,6 +47,20 @@ def worked_state():
     ts.append(8)
     ts.append(2)
     return ts
+
+
+def counter_state(st):
+    # every counter slot, copied, and the totals derived from them
+    return ([copy.deepcopy(getattr(st, name)) for name in Counters.__slots__],
+            st.transfers_out)
+
+
+def check_transfers(transfers, reference):
+    # the derived totals equal the reference's own per-step tally, keyed by
+    # exactly the levels 2..K with every total above 0
+    assert transfers == reference
+    assert list(transfers) == list(range(2, len(transfers) + 2))
+    assert all(moved > 0 for moved in transfers.values())
 
 
 def check_invariants(ts):
@@ -85,12 +105,15 @@ def test_append_duplicate_of_tail_merges():
 def test_nan_rejected_before_any_change():
     # NaN compares false against everything and would unsort a level
     ts = build_structure([3])
+    counters = counter_state(ts.stats)
     for call, arg in ((ts.append, math.nan), (ts.extend, [2, math.nan, 1])):
         with pytest.raises(ValueError):
             call(arg)
         assert ts.key_lists() == [[3]]
         assert ts.size == 1
         assert ts.position_counter == 1
+        assert ts.stats.landed == [1]
+        assert counter_state(ts.stats) == counters
 
 
 def test_extract_min_removes_only_level_one_tail():
@@ -168,11 +191,13 @@ def test_append_batch_value_equal_to_lower_tail():
 def test_extend_unsized_leaves_state_alone():
     ts = build_structure([6, 2, 9])
     before = (ts.key_lists(), ts.size, ts.position_counter,
-              [getattr(ts.stats, name) for name in Counters.__slots__])
+              counter_state(ts.stats))
+    assert ts.stats.landed == [2, 1]
     with pytest.raises(TypeError):
         ts.extend(iter([5, 3, 4]))
     assert (ts.key_lists(), ts.size, ts.position_counter,
-            [getattr(ts.stats, name) for name in Counters.__slots__]) == before
+            counter_state(ts.stats)) == before
+    assert ts.stats.landed == [2, 1]
     empty = ThresholdStructure()
     with pytest.raises(TypeError):
         empty.extend(iter([5, 3, 4]))
@@ -214,20 +239,23 @@ def test_extend_runs_survive_extracts():
 
 
 def lockstep_state(ts):
-    st = ts.stats
-    return (ts.key_lists(), ts.lis_length, ts.min_value(), st.transfers_out,
-            [getattr(st, name) for name in Counters.__slots__])
+    return (ts.key_lists(), ts.lis_length, ts.min_value(),
+            [getattr(ts.stats, name) for name in COUNTS])
 
 
 def test_levels_lockstep_with_structure():
     # the keys-only levels the scan drives, the logged structure and the
     # reference cascade that steps level by level agree on every key and
-    # every counter after each step of a mixed trace; odd traces end by
-    # draining the structure, and an extract that empties level 1 below
-    # higher levels must shift those levels whole
+    # every counter after each step of a mixed trace, and the totals both
+    # derive from their landing tallies equal the reference's per-step
+    # tally; odd traces end by draining the structure, an extract that
+    # empties level 1 below higher levels must shift those levels whole,
+    # and equal boundary keys must merge; traces take int, float and
+    # Fraction values in turn
     rng = random.Random(41)
-    whole_shifts = 0
-    for trace in range(200):
+    whole_shifts = merges = drains = 0
+    for trace in range(300):
+        scale = (int, lambda k: k / 2, lambda k: Fraction(k, 3))[trace % 3]
         trio = (ReferenceLevels(), ThresholdLevels(), ThresholdStructure())
         steps = rng.randint(1, 60)
         for step in range(steps + 60 * (trace % 2)):
@@ -241,8 +269,13 @@ def test_levels_lockstep_with_structure():
                             ts.extract_min()
                     else:
                         ts.extract_min()
+                if keys:
+                    lost = sum(map(len, keys)) - sum(
+                        map(len, trio[0].key_lists()))
+                    merges += lost - 1
+                    drains += not trio[0].lis_length
             elif roll < 0.5:
-                value = rng.randint(1, 15)
+                value = scale(rng.randint(1, 15))
                 for ts in trio:
                     ts.append(value)
             else:
@@ -251,12 +284,17 @@ def test_levels_lockstep_with_structure():
                                  reverse=True)
                 else:
                     run = [rng.randint(1, 15) for _ in range(rng.randint(0, 8))]
+                run = [scale(k) for k in run]
                 for ts in trio:
                     ts.extend(run)
             reference = lockstep_state(trio[0])
-            assert lockstep_state(trio[1]) == reference
-            assert lockstep_state(trio[2]) == reference
-    assert whole_shifts >= 100
+            for ts in trio[1:]:
+                check_transfers(ts.stats.transfers_out, trio[0].transfers)
+                assert lockstep_state(ts) == reference
+            assert trio[1].stats.landed == trio[2].stats.landed
+    assert whole_shifts >= 150
+    assert merges >= 150
+    assert drains >= 150
 
 
 def test_cascade_steps_count_cut_levels():
@@ -518,6 +556,10 @@ class ThresholdMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.ts = ThresholdStructure()
+        # the keys-only levels and the stepping reference take every
+        # update too, for the counters and transfer totals
+        self.levels = ThresholdLevels()
+        self.reference = ReferenceLevels()
         self.shadow = []
 
     def _fresh(self):
@@ -529,11 +571,15 @@ class ThresholdMachine(RuleBasedStateMachine):
     @rule(value=st.integers(1, 12))
     def append(self, value):
         self.ts.append(value)
+        self.levels.append(value)
+        self.reference.append(value)
         self.shadow.append((value, self.ts.position_counter))
 
     def _extend(self, values):
         start = self.ts.position_counter
         self.ts.extend(values)
+        self.levels.extend(values)
+        self.reference.extend(values)
         self.shadow.extend((v, start + i) for i, v in enumerate(values, 1))
 
     @rule(values=st.lists(st.integers(1, 12), min_size=1, max_size=6))
@@ -548,6 +594,8 @@ class ThresholdMachine(RuleBasedStateMachine):
     @rule()
     def extract_min(self):
         self.ts.extract_min()
+        self.levels.extract_min()
+        self.reference.extract_min()
         low = min(v for v, _ in self.shadow)
         self.shadow = [(v, p) for v, p in self.shadow if v != low]
 
@@ -579,6 +627,13 @@ class ThresholdMachine(RuleBasedStateMachine):
         state = [[(v, tuple(rank[p] for p in ps)) for v, ps in level]
                  for level in snap]
         assert state == self._fresh().snapshot()
+
+    @invariant()
+    def counters_match_reference(self):
+        expected = lockstep_state(self.reference)
+        for ts in (self.ts, self.levels):
+            check_transfers(ts.stats.transfers_out, self.reference.transfers)
+            assert lockstep_state(ts) == expected
 
 
 ThresholdMachine.TestCase.settings = settings(

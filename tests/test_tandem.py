@@ -18,6 +18,8 @@ from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
                          split_tandems)
 
+from helpers import reference_run_stats
+
 GOLDEN = "AGCGAACGGGTA"
 
 
@@ -98,6 +100,17 @@ def test_large_strings_against_bitparallel_oracle():
         res = compute_ltss(f)
         assert (res.length, res.split_index) == bitparallel_ltss(f)
         assert validate_tandem(f, res)
+
+
+def test_stats_match_stepping_reference_at_thousands_of_letters():
+    # every RunStats field but elapsed, against a scan whose comparator
+    # drives the cascade that steps one level at a time and tallies its
+    # own transfers, at sigma 4 and 20
+    rng = random.Random(47)
+    for alphabet in ("ACGT", "ACDEFGHIKLMNPQRSTVWY"):
+        f = uniform(rng, 2000, alphabet)
+        assert dataclasses.replace(ltss_stats(f), elapsed=0.0) == \
+            reference_run_stats(f)
 
 
 def test_replay_split_reaches_scan_state():
