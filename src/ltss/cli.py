@@ -9,7 +9,9 @@ stdin, which drops a leading byte-order mark, and the `lcss` strings and
 Strings given to main() in a list are taken as they are.
 An `ltss` request scans once; `--length-only` prints the scan's length,
 and every other request walks one build of the winning split, witness
-first, then the `--enumerate` tandems.  main() builds its parser once.
+first, then the `--enumerate` tandems.  Each text tandem= line is
+written as soon as it is built, from the previous line's text wherever
+few levels changed.  main() builds its parser once.
 Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
 and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
@@ -105,12 +107,19 @@ def _csv(values):
 def _print_tandems(f, lam, walk):
     """Print a tandem= line for each item of a walk over f's split levels
     of length lam as the walk yields it.  Consecutive tandems share every
-    level above the walk's rewrite count, so each line converts only the
-    rewritten levels' letters and decimals and joins the rest as kept."""
+    level from the walk's rewrite count r up, so each line converts only
+    the r rewritten levels' letters and decimals into token lists.  A line
+    with r well under a quarter of lam takes the previous line's text past
+    its r-th letter and past each occurrence's r-th comma, and joins only
+    the r new tokens in front; any other line joins every token."""
     padded = " " + f     # 1-based positions
     decimal = list(map(str, range(len(f) + 1)))
     word, first, second = ([None] * lam for _ in range(3))
     write = sys.stdout.write
+    # keeping a tail costs about what joining 30 tokens does, plus 4 per
+    # new token, so it pays while 4r + 30 < lam, that is while r < keep;
+    # the first item, r = lam, joins every token
+    keep = (lam - 27) // 4
     for r, tags, values in walk:
         if r == 1:
             # an itemgetter of one index returns its item bare
@@ -121,8 +130,14 @@ def _print_tandems(f, lam, walk):
             at = itemgetter(*tags[:r])
             word[:r], first[:r] = at(padded), at(decimal)
             second[:r] = itemgetter(*values[:r])(decimal)
-        write("tandem=%s occ1=%s occ2=%s\n"
-              % ("".join(word), ",".join(first), ",".join(second)))
+        if r < keep:
+            letters = "".join(word[:r]) + letters[r:]
+            occ1 = "%s,%s" % (",".join(first[:r]), occ1.split(",", r)[r])
+            occ2 = "%s,%s" % (",".join(second[:r]), occ2.split(",", r)[r])
+        else:
+            letters = "".join(word)
+            occ1, occ2 = ",".join(first), ",".join(second)
+        write("tandem=%s occ1=%s occ2=%s\n" % (letters, occ1, occ2))
 
 
 def cmd_ltss(args):

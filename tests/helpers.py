@@ -1,8 +1,9 @@
 """Shared test plumbing: structure builders, randomized trace drivers and
 reference implementations of the structure's fast paths."""
 
+import sys
 from bisect import bisect_left, bisect_right
-from operator import neg
+from operator import itemgetter, neg
 
 from ltss.dynamic_lis import INF, ThresholdLevels, ThresholdStructure
 from ltss.string_compare import Comparator
@@ -148,3 +149,25 @@ def reference_walk_lis(levels):
             # the climb ends on the level that takes its next window item
             k += 1
             top = k
+
+
+def reference_print_tandems(f, lam, walk):
+    """The tandem= printer that joins all lam tokens of every line after
+    reconverting the rewritten ones; the reference for cli._print_tandems,
+    byte for byte."""
+    padded = " " + f     # 1-based positions
+    decimal = list(map(str, range(len(f) + 1)))
+    word, first, second = ([None] * lam for _ in range(3))
+    write = sys.stdout.write
+    for r, tags, values in walk:
+        if r == 1:
+            # an itemgetter of one index returns its item bare
+            t = tags[0]
+            word[0], first[0] = padded[t], decimal[t]
+            second[0] = decimal[values[0]]
+        else:
+            at = itemgetter(*tags[:r])
+            word[:r], first[:r] = at(padded), at(decimal)
+            second[:r] = itemgetter(*values[:r])(decimal)
+        write("tandem=%s occ1=%s occ2=%s\n"
+              % ("".join(word), ",".join(first), ",".join(second)))

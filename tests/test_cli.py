@@ -21,6 +21,7 @@ import pytest
 
 from ltss import cli, oracle, string_compare, tandem
 
+from helpers import reference_print_tandems
 from test_tandem import benchmark_shapes
 
 GOLDEN = "AGCGAACGGGTA"
@@ -342,6 +343,56 @@ def test_ltss_enumerate_text_memory_flat(tmp_path):
 
     peak(2000)    # warm-up: first-call allocations such as lazy imports
     assert peak(2000) <= 1.5 * peak(1)
+
+
+def printed(printer, f, lam, walk):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        printer(f, lam, walk)
+    return out.getvalue()
+
+
+def test_print_tandems_matches_reference_on_split_walks():
+    shapes = benchmark_shapes()
+    texts = [f for f, _ in _split_tandem_cases()]
+    texts += [shapes["enumerate-" + label]
+              for label in ("uniform", "palindrome", "periodic")]
+    for f in texts:
+        lam, split, _ = tandem._scan(f)
+        if not lam:
+            continue
+        lines = [printed(printer, f, lam,
+                         islice(tandem.split_walk(f, split), 2000))
+                 for printer in (cli._print_tandems, reference_print_tandems)]
+        assert lines[0] == lines[1], f
+
+
+def hand_walk(rng, lam, counts, items, positions):
+    """A walk of items (r, tags, values) over shared slot lists: the first
+    rewrites all lam slots, each later one the first r, r drawn from
+    counts, with positions drawn from positions."""
+    tags, values = [None] * lam, [None] * lam
+    r = lam
+    for _ in range(items):
+        tags[:r] = rng.choices(positions, k=r)
+        values[:r] = rng.choices(positions, k=r)
+        yield r, tags, values
+        r = rng.choice(counts)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 60, 150])
+def test_print_tandems_matches_reference_on_hand_built_walks(lam):
+    # decimals of one to four digits, so the kept text past the r-th comma
+    # starts at every width, and a letter outside ASCII
+    f = "".join(random.Random(lam).choice("ACGTÄ") for _ in range(1005))
+    positions = [1, 9, 10, 99, 100, 999, 1000, 1005]
+    counts = sorted({1, 2, lam // 8, lam // 4 - 1, lam // 4 + 1, lam - 1, lam}
+                    & set(range(1, lam + 1)))
+    for seed in range(20):
+        lines = [printed(printer, f, lam, hand_walk(random.Random(seed), lam,
+                                                    counts, 150, positions))
+                 for printer in (cli._print_tandems, reference_print_tandems)]
+        assert lines[0] == lines[1], (lam, seed)
 
 
 def test_ltss_fasta_file(capsys, tmp_path):
@@ -914,6 +965,22 @@ def test_unencodable_output_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unencodable_later_tandem_exits_2(tmp_path):
+    # each tandem= line is written as it is built, so the lines before the
+    # first one that cannot be encoded are out
+    path = tmp_path / "f.txt"
+    path.write_bytes("AÄBÄAB\n".encode("utf-8"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltss", "ltss", "--enumerate", "2", str(path)],
+        capture_output=True, text=True,
+        env=dict(CHILD_ENV, PYTHONIOENCODING="ascii"))
+    assert proc.returncode == 2
+    assert proc.stdout == ("length=2\nsplit=3\nwitness=AB\nocc1=1,3\n"
+                           "occ2=5,6\ntandem=AB occ1=1,3 occ2=5,6\n")
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_broken_pipe_returns_1(monkeypatch):
     class Pipe:
         def write(self, _):
@@ -927,13 +994,20 @@ def test_broken_pipe_returns_1(monkeypatch):
 
 
 @pytest.mark.parametrize("command,head", [("lis", "length=2\n"),
-                                          ("lcss", "length=35\n")],
-                         ids=["lis", "lcss"])
-def test_broken_pipe_subprocess_is_quiet(command, head):
-    # enough seq= or pairs= lines to overflow the pipe buffer after head
-    # exits, so the pipe breaks in the middle of the walk
+                                          ("lcss", "length=35\n"),
+                                          ("ltss", "length=158\n")],
+                         ids=["lis", "lcss", "ltss"])
+def test_broken_pipe_subprocess_is_quiet(command, head, tmp_path):
+    # enough seq=, pairs= or tandem= lines to overflow the pipe buffer
+    # after head exits, so the pipe breaks in the middle of the walk
+    if command == "ltss":
+        path = tmp_path / "periodic.txt"
+        path.write_text(benchmark_shapes()["enumerate-periodic"] + "\n")
+        operands = [str(path)]
+    else:
+        operands = MANY_SOLUTIONS[command]
     cmd = ("%s -m ltss %s %s --enumerate 40000 | head -n 1"
-           % (sys.executable, command, " ".join(MANY_SOLUTIONS[command])))
+           % (sys.executable, command, " ".join(operands)))
     proc = subprocess.run(["bash", "-o", "pipefail", "-c", cmd],
                           capture_output=True, text=True, env=CHILD_ENV)
     assert proc.stdout == head

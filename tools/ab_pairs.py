@@ -13,8 +13,9 @@ CHANGE's BENCHMARK.json the report gives, per side, the median and the
 quartiles over the pairs, and the number of pairs CHANGE won in the
 metric's better direction.  It also reports every run that failed a
 request or did not finish.  The last line of stdout is one JSON object
-with every run's metrics.  Nothing is written into either checkout beyond
-what run.py itself writes.
+with every run's metrics.  The exit status is 1 if any run failed a
+request, reported "correct": false or did not finish, else 0.  Nothing is
+written into either checkout beyond what run.py itself writes.
 """
 
 import argparse
@@ -102,6 +103,7 @@ def main(argv=None):
             print("%-14s %-6s %12.6g %12.6g %12.6g %10s"
                   % (name, side, q1, q2, q3,
                      "%d of %d" % (won, len(complete)) if side == "change" else ""))
+    status = 0
     for side in SIDES:
         failed = [(i + 1, r["failed"], r["attempted"])
                   for i, r in enumerate(runs[side])
@@ -110,9 +112,11 @@ def main(argv=None):
         print("%s: failed requests: %s; unfinished runs: %s" % (
             side, ", ".join("pair %d, %d of %d" % f for f in failed) or "none",
             ", ".join("pair %d" % i for i in missing) or "none"))
+        if failed or missing:
+            status = 1
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "seconds": args.seconds, "runs": runs}))
-    return 0 if len(complete) == args.pairs else 1
+    return status
 
 
 if __name__ == "__main__":
