@@ -7,11 +7,13 @@ decoded from its bytes as strict UTF-8 whatever the locale: a file or
 stdin, which drops a leading byte-order mark, and the `lcss` strings and
 `lis` values of the process command line, as the OS passed them.
 Strings given to main() in a list are taken as they are.
-An `ltss` request scans once; `--length-only` prints the scan's length,
-and every other request walks one build of the winning split, witness
-first, then the `--enumerate` tandems.  Each text tandem= line is
-written as soon as it is built, from the previous line's text wherever
-few levels changed.  main() builds its parser once.
+An `ltss` request scans once, counting the scan's work only under
+`--stats` or `--format json`, the modes that print counters;
+`--length-only` prints the scan's length, and every other request walks
+one build of the winning split, witness first, then the `--enumerate`
+tandems.  Each text tandem= line is written as soon as it is built, from
+the previous line's text wherever few levels changed.  main() builds its
+parser once.
 Exit codes: 0 on success, 1 on a broken output pipe, 2 on input errors
 and on output that stdout's encoding cannot carry, 3 when --verify
 disagrees with the oracle.
@@ -26,7 +28,8 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from . import oracle, tandem
-from .dynamic_lis import enumerate_lis, positional_levels
+from .dynamic_lis import (ThresholdLevels, UncountedLevels, enumerate_lis,
+                          positional_levels)
 from .string_compare import MatchIndex
 
 
@@ -145,7 +148,8 @@ def cmd_ltss(args):
     if args.verify and len(f) > oracle.BITPARALLEL_GUARD:
         raise InputError("--verify supports strings up to %d letters"
                          % oracle.BITPARALLEL_GUARD)
-    scan = tandem._scan(f)
+    counted = args.stats or args.format == "json"
+    scan = tandem._scan(f, ThresholdLevels() if counted else UncountedLevels())
     if args.length_only and not args.verify:
         print(scan[0])
         return 0

@@ -15,9 +15,11 @@ searches.  Supported updates:
   all_lis()        lazy enumeration of every longest increasing
                    subsequence, largest value chain first
 
-ThresholdLevels keeps the levels alone, so its space is O(live keys): it
-is what the scan's comparator drives.  Values are real numbers, not NaN:
-ThresholdStructure.extend rejects NaN, ThresholdLevels checks nothing.
+UncountedLevels keeps the levels alone, so its space is O(live keys): it
+is what the scan's comparator drives for a request that prints no
+counter.  ThresholdLevels is the same levels with counted updates, for
+every other.  Values are real numbers, not NaN: ThresholdStructure
+rejects NaN, the levels check nothing.
 ThresholdStructure adds element identity for an exact size and all_lis()
 after extracts: each inserted element gets a position from a strictly
 increasing counter that is never reused.  Positions live in an append log
@@ -38,9 +40,10 @@ walk item says how many leading levels it rewrote: consecutive items
 share every level above that, so a consumer that formats items redoes
 only the rewritten ones.  enumerate_lis() yields a copy of each item.
 
-Every structure counts its work in a Counters, always on.  The extract
-cascade tallies no entry transfers: an entry only moves down, one level
-per cut or whole-level shift, until it is extracted at level 1 or merged
+ThresholdLevels and ThresholdStructure count their work in a Counters,
+always on; UncountedLevels counts nothing.  The counted extract cascade
+tallies no entry transfers: an entry only moves down, one level per
+cut or whole-level shift, until it is extracted at level 1 or merged
 away at a boundary, so
 
   moved out of level k = entries landed at levels >= k
@@ -101,17 +104,22 @@ class Counters:
         return self.search_steps + self.structure_steps
 
 
-class ThresholdLevels:
+class UncountedLevels:
     """Keys-only threshold levels: everything the scan reads and nothing
     that only enumeration needs.  Values go in unchecked: a NaN would
-    corrupt the levels, but the comparator feeds only int positions."""
+    corrupt the levels, but the comparator feeds only int positions.
+    Their updates count nothing: they serve the scan of a request that
+    prints no counter.  stats is one Counters, shared by every instance,
+    that always reads zero, because a traced benchmark run reads the
+    counters of every comparator: it files these zeros under the CLI's
+    span, which no benchmark metric reads."""
 
-    __slots__ = ("_levels", "_mins", "stats")
+    __slots__ = ("_levels", "_mins")
+    stats = Counters(())
 
     def __init__(self):
         self._levels = []    # negated keys per level, ascending
         self._mins = []      # _mins[k-1] == -self._levels[k-1][-1], always
-        self.stats = Counters(self._levels)
 
     @property
     def lis_length(self):
@@ -127,6 +135,67 @@ class ThresholdLevels:
     def append(self, value):
         """Insert value after every current element."""
         self.extend((value,))
+
+    def extend(self, values):
+        """Append each value of the sequence in order, as
+        ThresholdLevels.extend does, counting nothing."""
+        mins = self._mins
+        levels = self._levels
+        top = i = len(mins)
+        prev = INF
+        for v in values:
+            if v > prev:
+                i = top
+            i = bisect_left(mins, v, 0, i)
+            if i == top:
+                top += 1
+                mins.append(v)
+                levels.append([-v])
+            elif mins[i] != v:
+                mins[i] = v
+                levels[i].append(-v)
+            prev = v
+
+    def extract_min(self):
+        """Remove every occurrence of the smallest live value and repair
+        the tail chain, as ThresholdLevels.extract_min does, counting
+        nothing."""
+        mins = self._mins
+        if not mins:
+            raise ValueError("extract_min on empty structure")
+        levels = self._levels
+        below = levels[0]
+        below.pop()
+        lam = len(mins)
+        k = 1
+        while k < lam and below:
+            tail = below[-1]
+            upper = levels[k]
+            if tail > upper[-1]:
+                break
+            cut = bisect_left(upper, tail)
+            if tail == upper[cut]:
+                below.pop()
+            below += upper[cut:]
+            del upper[cut:]
+            below = upper
+            k += 1
+        del mins[0]
+        if below:
+            mins.insert(k - 1, -below[-1])
+        else:
+            del levels[k - 1]
+
+
+class ThresholdLevels(UncountedLevels):
+    """UncountedLevels whose two updates count their work in their own
+    Counters, for every caller that reads a counter."""
+
+    __slots__ = ("stats",)
+
+    def __init__(self):
+        super().__init__()
+        self.stats = Counters(self._levels)
 
     def extend(self, values):
         """Append each value of the sequence in order.  A value not above
@@ -245,6 +314,33 @@ class ThresholdStructure(ThresholdLevels):
                     entries.append((v, [p]))
             out.append([(v, tuple(ps)) for v, ps in entries])
         return out
+
+    def append(self, value):
+        """extend((value,)) done directly, every counter included: one
+        bisect of the tail chain, one landing tally, one log entry."""
+        if value != value:
+            raise ValueError("NaN is not ordered against other values")
+        mins = self._mins
+        stats = self.stats
+        landed = stats.landed
+        top = len(mins)
+        i = bisect_left(mins, value)
+        stats.search_steps += top.bit_length()
+        if i == top:
+            mins.append(value)
+            self._levels.append([-value])
+            if i == len(landed):
+                landed.append(0)
+            landed[i] += 1
+        elif mins[i] != value:
+            mins[i] = value
+            self._levels[i].append(-value)
+            landed[i] += 1
+        stats.append_calls += 1
+        stats.structure_steps += 1
+        self.size += 1
+        self._log.append(value)
+        self._count[value] += 1
 
     def extend(self, values):
         if any(v != v for v in values):

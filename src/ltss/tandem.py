@@ -6,7 +6,10 @@ length is the common-subsequence length of F[1..t] against F[t+1..n].  The
 best split (earliest on ties) then yields a witness and its two disjoint
 occurrences from one positional build of F[1..t] over F[t+1..n].
 compute_ltss and the CLI scan through _scan and take the witness from
-solve, whose walk an enumerating caller continues.
+solve, whose walk an enumerating caller continues.  The caller picks the
+levels the scan drives: ThresholdLevels counts the scan's work into a
+RunStats, UncountedLevels, for a request that prints no counter, counts
+nothing and gives none.
 """
 
 import time
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
-from .dynamic_lis import walk_lis
+from .dynamic_lis import ThresholdLevels, walk_lis
 from .string_compare import Comparator, MatchIndex
 
 
@@ -23,8 +26,8 @@ class LtssResult:
     """Best tandem: its length, the winning prefix length, the repeated
     subsequence, and the two occurrence position lists (1-based, the first
     entirely at or before split_index, the second entirely after).  stats
-    holds the instrumentation of the scan that found it and takes no part
-    in equality."""
+    holds the instrumentation of the scan that found it, None if that scan
+    counted nothing, and takes no part in equality."""
     length: int
     split_index: int
     witness: str
@@ -46,13 +49,15 @@ class RunStats:
     elapsed: float
 
 
-def _scan(f):
-    """Run the split scan; return (best_len, best_split, RunStats)."""
+def _scan(f, ts):
+    """Run the split scan with its comparator driving the fresh levels ts;
+    return (best_len, best_split, RunStats), the RunStats None unless ts
+    counts, as a ThresholdLevels does."""
     start = time.perf_counter()
     comp = Comparator(f)
+    comp.ts = ts
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
-    ts = comp.ts
     best_len = 0
     best_split = 0
     for t in range(1, len(f)):
@@ -65,6 +70,8 @@ def _scan(f):
             best_len = lam
             best_split = t
     elapsed = time.perf_counter() - start
+    if not isinstance(ts, ThresholdLevels):
+        return best_len, best_split, None
     st = ts.stats
     return best_len, best_split, RunStats(
         n=len(f),
@@ -125,7 +132,7 @@ def split_tandems(f, split):
     yield from walk_tandems(f, split_walk(f, split))
 
 def solve(f, scan):
-    """The LtssResult of a _scan(f) answer, and the split walk whose first
+    """The LtssResult of f's _scan answer, and the split walk whose first
     item gave its witness: the walk yields that item again, slots intact."""
     best_len, best_split, stats = scan
     walk = split_walk(f, best_split)
@@ -139,9 +146,9 @@ def compute_ltss(f):
     with the scan's instrumentation attached as .stats."""
     if not isinstance(f, str):
         raise TypeError("compute_ltss expects a str, got %s" % type(f).__name__)
-    return solve(f, _scan(f))[0]
+    return solve(f, _scan(f, ThresholdLevels()))[0]
 
 def ltss_stats(f):
     """Run the scan alone and report its instrumentation, the RunStats
     that compute_ltss(f).stats carries; f may be any hashable sequence."""
-    return _scan(f)[2]
+    return _scan(f, ThresholdLevels())[2]

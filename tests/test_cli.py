@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from ltss import cli, oracle, string_compare, tandem
+from ltss.dynamic_lis import ThresholdLevels, UncountedLevels
 
 from helpers import reference_print_tandems
 from test_tandem import benchmark_shapes
@@ -249,6 +250,35 @@ def test_ltss_builds_split_once(argv, built, capsys, monkeypatch):
     assert walks == [4] * built
 
 
+@pytest.mark.parametrize("argv,levels", [
+    (["--length-only"], UncountedLevels),
+    (["--length-only", "--verify"], UncountedLevels),
+    ([], UncountedLevels),
+    (["--enumerate", "3"], UncountedLevels),
+    (["--stats"], ThresholdLevels),
+    (["--format", "json"], ThresholdLevels),
+    (["--format", "json", "--enumerate", "3"], ThresholdLevels),
+])
+def test_ltss_counts_only_what_it_prints(argv, levels, capsys, monkeypatch):
+    # a mode that prints no counter scans with levels that count nothing;
+    # the library entry points always count, for LtssResult.stats
+    scanned = []
+    real = tandem._scan
+
+    def scan(f, ts):
+        scanned.append(type(ts))
+        return real(f, ts)
+
+    monkeypatch.setattr(tandem, "_scan", scan)
+    assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
+    capsys.readouterr()
+    assert scanned == [levels]
+    scanned.clear()
+    assert tandem.compute_ltss(GOLDEN).stats.matches == 17
+    assert tandem.ltss_stats(GOLDEN).matches == 17
+    assert scanned == [ThresholdLevels] * 2
+
+
 def _perfbench_corpus():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
@@ -358,7 +388,7 @@ def test_print_tandems_matches_reference_on_split_walks():
     texts += [shapes["enumerate-" + label]
               for label in ("uniform", "palindrome", "periodic")]
     for f in texts:
-        lam, split, _ = tandem._scan(f)
+        lam, split, _ = tandem._scan(f, UncountedLevels())
         if not lam:
             continue
         lines = [printed(printer, f, lam,

@@ -6,7 +6,7 @@ import copy
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +15,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from ltss.dynamic_lis import (INF, Counters, ThresholdLevels,
-                               ThresholdStructure, enumerate_lis,
-                               positional_levels, walk_lis)
+                               ThresholdStructure, UncountedLevels,
+                               enumerate_lis, positional_levels, walk_lis)
 from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
                          threshold_stacks)
 from ltss.tandem import split_levels
@@ -238,9 +238,12 @@ def test_extend_runs_survive_extracts():
                 assert batched.size == plain.size
 
 
+def keys_state(ts):
+    return ts.key_lists(), ts.lis_length, ts.min_value()
+
+
 def lockstep_state(ts):
-    return (ts.key_lists(), ts.lis_length, ts.min_value(),
-            [getattr(ts.stats, name) for name in COUNTS])
+    return keys_state(ts) + ([getattr(ts.stats, name) for name in COUNTS],)
 
 
 def test_levels_lockstep_with_structure():
@@ -295,6 +298,49 @@ def test_levels_lockstep_with_structure():
     assert whole_shifts >= 150
     assert merges >= 150
     assert drains >= 150
+
+
+def test_uncounted_levels_lockstep_with_counted():
+    # the levels of a request that prints no counter hold the same keys as
+    # the counted ones after every append, run and extract of a mixed
+    # trace, an extract that empties level 1 below higher levels and an
+    # equal boundary key included, and their shared stats stays zero
+    rng = random.Random(53)
+    whole_shifts = merges = 0
+    for _ in range(400):
+        pair = (ThresholdLevels(), UncountedLevels())
+        ops = random_ops(rng, rng.randint(1, 80), 15)
+        for i, op in enumerate(ops):
+            if op == "x":
+                keys = pair[0].key_lists()
+                for ts in pair:
+                    if not keys:
+                        with pytest.raises(ValueError):
+                            ts.extract_min()
+                    else:
+                        ts.extract_min()
+                if keys:
+                    whole_shifts += len(keys) > 1 and len(keys[0]) == 1
+                    merges += sum(map(len, keys)) - sum(
+                        map(len, pair[0].key_lists())) - 1
+            elif i % 2:
+                for ts in pair:
+                    ts.append(op)
+            else:
+                # the op and the ints after it, as the comparator feeds a
+                # decreasing run, or as they come
+                run = list(takewhile(lambda v: v != "x", ops[i:i + 5]))
+                if op % 2:
+                    run = sorted(set(run), reverse=True)
+                for ts in pair:
+                    ts.extend(run)
+            assert keys_state(pair[1]) == keys_state(pair[0])
+    zero = UncountedLevels.stats
+    assert (zero.append_calls, zero.extract_min_calls, zero.landed,
+            zero.transfers_out, zero.tree_ops()) == (0, 0, [], {}, 0)
+    assert pair[1].stats is zero
+    assert whole_shifts >= 250
+    assert merges >= 2000
 
 
 def test_cascade_steps_count_cut_levels():
@@ -557,9 +603,11 @@ class ThresholdMachine(RuleBasedStateMachine):
         super().__init__()
         self.ts = ThresholdStructure()
         # the keys-only levels and the stepping reference take every
-        # update too, for the counters and transfer totals
+        # update too, for the counters and transfer totals, and the
+        # uncounted levels for their keys
         self.levels = ThresholdLevels()
         self.reference = ReferenceLevels()
+        self.uncounted = UncountedLevels()
         self.shadow = []
 
     def _fresh(self):
@@ -573,6 +621,7 @@ class ThresholdMachine(RuleBasedStateMachine):
         self.ts.append(value)
         self.levels.append(value)
         self.reference.append(value)
+        self.uncounted.append(value)
         self.shadow.append((value, self.ts.position_counter))
 
     def _extend(self, values):
@@ -580,6 +629,7 @@ class ThresholdMachine(RuleBasedStateMachine):
         self.ts.extend(values)
         self.levels.extend(values)
         self.reference.extend(values)
+        self.uncounted.extend(values)
         self.shadow.extend((v, start + i) for i, v in enumerate(values, 1))
 
     @rule(values=st.lists(st.integers(1, 12), min_size=1, max_size=6))
@@ -596,6 +646,7 @@ class ThresholdMachine(RuleBasedStateMachine):
         self.ts.extract_min()
         self.levels.extract_min()
         self.reference.extract_min()
+        self.uncounted.extract_min()
         low = min(v for v, _ in self.shadow)
         self.shadow = [(v, p) for v, p in self.shadow if v != low]
 
@@ -634,6 +685,7 @@ class ThresholdMachine(RuleBasedStateMachine):
         for ts in (self.ts, self.levels):
             check_transfers(ts.stats.transfers_out, self.reference.transfers)
             assert lockstep_state(ts) == expected
+        assert keys_state(self.uncounted) == keys_state(self.reference)
 
 
 ThresholdMachine.TestCase.settings = settings(

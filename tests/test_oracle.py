@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ltss.oracle import (bitparallel_ltss, dp_lcss, enumerate_lis_naive,
                          lcss_length, naive_lis, naive_ltss, patience_lis,
-                         threshold_stacks, validate_tandem)
+                         split_lengths, threshold_stacks, validate_tandem)
 from ltss.tandem import LtssResult
 
 from helpers import WORKED_STREAM
@@ -94,6 +94,15 @@ def test_bitparallel_ltss_agrees_with_naive_ltss():
         sigma = rng.choice(["AB", "ACGT", "ABCDEFGHIJ"])
         f = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 60)))
         assert bitparallel_ltss(f) == naive_ltss(f), f
+
+
+def test_split_lengths_agree_with_dp():
+    rng = random.Random(17)
+    for _ in range(200):
+        sigma = rng.choice(["AB", "ACGT", "ABCDEFGHIJ"])
+        f = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40)))
+        assert split_lengths(f) == [lcss_length(f[:t], f[t:])
+                                    for t in range(len(f) + 1)], f
 
 
 def test_validate_tandem_golden():

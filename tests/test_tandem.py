@@ -13,7 +13,9 @@ from collections import Counter
 import pytest
 
 from ltss import string_compare, tandem
-from ltss.oracle import bitparallel_ltss, naive_ltss, validate_tandem
+from ltss.dynamic_lis import ThresholdLevels, UncountedLevels
+from ltss.oracle import (bitparallel_ltss, naive_ltss, split_lengths,
+                         validate_tandem)
 from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
                          split_tandems)
@@ -100,6 +102,26 @@ def test_large_strings_against_bitparallel_oracle():
         res = compute_ltss(f)
         assert (res.length, res.split_index) == bitparallel_ltss(f)
         assert validate_tandem(f, res)
+
+
+def test_every_split_length_at_thousands_of_letters():
+    # a comparator per levels class, stepped as _scan steps its own, holds
+    # the common-subsequence length of every split, not just the best one
+    rng = random.Random(53)
+    strings = [uniform(rng, 2000, alphabet) for alphabet in
+               ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")]
+    strings.append(uniform(rng, 3000, "ACGT"))
+    for f in strings:
+        expected = split_lengths(f)
+        for levels in (ThresholdLevels, UncountedLevels):
+            comp = Comparator(f)
+            comp.ts = levels()
+            got = [comp.lcss_length]
+            for letter in f:
+                comp.drop_front_of_s()
+                comp.append_to_p(letter)
+                got.append(comp.lcss_length)
+            assert got == expected, (len(f), levels.__name__)
 
 
 def test_stats_match_stepping_reference_at_thousands_of_letters():
