@@ -7,9 +7,10 @@ decoded from its bytes as strict UTF-8 whatever the locale: a file or
 stdin, which drops a leading byte-order mark, and the `lcss` strings and
 `lis` values of the process command line, as the OS passed them.
 Strings given to main() in a list are taken as they are.
-An `ltss` request scans once, counting the scan's work only under
-`--stats` or `--format json`, the modes that print counters;
-`--length-only` prints the scan's length, and every other request walks
+An `ltss` request scans once, counting the scan's work only when a
+counter reaches stdout: under `--stats` or `--format json` without
+`--length-only`.  `--length-only` prints the scan's length, building the
+winning split only to `--verify` its witness; every other request walks
 one build of the winning split, witness first, then the `--enumerate`
 tandems.  Each text tandem= line is written as soon as it is built, from
 the previous line's text wherever few levels changed.  main() builds its
@@ -28,8 +29,7 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from . import oracle, tandem
-from .dynamic_lis import (ThresholdLevels, UncountedLevels, enumerate_lis,
-                          positional_levels)
+from .dynamic_lis import enumerate_lis, positional_levels
 from .string_compare import MatchIndex
 
 
@@ -148,12 +148,10 @@ def cmd_ltss(args):
     if args.verify and len(f) > oracle.BITPARALLEL_GUARD:
         raise InputError("--verify supports strings up to %d letters"
                          % oracle.BITPARALLEL_GUARD)
-    counted = args.stats or args.format == "json"
-    scan = tandem._scan(f, ThresholdLevels() if counted else UncountedLevels())
-    if args.length_only and not args.verify:
-        print(scan[0])
-        return 0
-    res, walk = tandem.solve(f, scan)
+    scan = tandem._scan(f, counted=not args.length_only
+                        and (args.stats or args.format == "json"))
+    if args.verify or not args.length_only:
+        res, walk = tandem.solve(f, scan)
     if args.verify:
         ref = oracle.bitparallel_ltss(f)
         ok = (ref == (res.length, res.split_index)
@@ -164,7 +162,7 @@ def cmd_ltss(args):
                   file=sys.stderr)
             return 3
     if args.length_only:
-        print(res.length)
+        print(scan[0])
         return 0
     show_tandems = args.enumerate and res.length
     if args.format == "json":

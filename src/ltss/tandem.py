@@ -6,10 +6,10 @@ length is the common-subsequence length of F[1..t] against F[t+1..n].  The
 best split (earliest on ties) then yields a witness and its two disjoint
 occurrences from one positional build of F[1..t] over F[t+1..n].
 compute_ltss and the CLI scan through _scan and take the witness from
-solve, whose walk an enumerating caller continues.  The caller picks the
-levels the scan drives: ThresholdLevels counts the scan's work into a
-RunStats, UncountedLevels, for a request that prints no counter, counts
-nothing and gives none.
+solve, whose walk an enumerating caller continues.  _scan alone picks the
+levels it drives, from whether its caller reads counters: ThresholdLevels
+counts the scan's work into a RunStats, UncountedLevels counts nothing and
+gives none.
 """
 
 import time
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
-from .dynamic_lis import ThresholdLevels, walk_lis
+from .dynamic_lis import ThresholdLevels, UncountedLevels, walk_lis
 from .string_compare import Comparator, MatchIndex
 
 
@@ -49,13 +49,13 @@ class RunStats:
     elapsed: float
 
 
-def _scan(f, ts):
-    """Run the split scan with its comparator driving the fresh levels ts;
-    return (best_len, best_split, RunStats), the RunStats None unless ts
-    counts, as a ThresholdLevels does."""
+def _scan(f, counted):
+    """Run the split scan and return (best_len, best_split, RunStats).
+    Its comparator drives ThresholdLevels if counted, else UncountedLevels,
+    and the RunStats is None."""
     start = time.perf_counter()
     comp = Comparator(f)
-    comp.ts = ts
+    comp.ts = ts = ThresholdLevels() if counted else UncountedLevels()
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
@@ -70,7 +70,7 @@ def _scan(f, ts):
             best_len = lam
             best_split = t
     elapsed = time.perf_counter() - start
-    if not isinstance(ts, ThresholdLevels):
+    if not counted:
         return best_len, best_split, None
     st = ts.stats
     return best_len, best_split, RunStats(
@@ -146,9 +146,9 @@ def compute_ltss(f):
     with the scan's instrumentation attached as .stats."""
     if not isinstance(f, str):
         raise TypeError("compute_ltss expects a str, got %s" % type(f).__name__)
-    return solve(f, _scan(f, ThresholdLevels()))[0]
+    return solve(f, _scan(f, counted=True))[0]
 
 def ltss_stats(f):
     """Run the scan alone and report its instrumentation, the RunStats
     that compute_ltss(f).stats carries; f may be any hashable sequence."""
-    return _scan(f, ThresholdLevels())[2]
+    return _scan(f, counted=True)[2]

@@ -187,6 +187,7 @@ GOLDEN_TANDEMS = [
         "tandem=%s occ1=%s occ2=%s\n" % row for row in GOLDEN_TANDEMS)),
     (["--stats"], GOLDEN_HEAD + "matches=17\nlambda_max=4\nextract_mins=7\n"
                                 "transfers=2:8,3:4,4:1\n"),
+    (["--length-only", "--verify"], "4\n"),
 ])
 def test_ltss_output_bytes(argv, expected, capsys, monkeypatch):
     assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
@@ -258,18 +259,27 @@ def test_ltss_builds_split_once(argv, built, capsys, monkeypatch):
     (["--stats"], ThresholdLevels),
     (["--format", "json"], ThresholdLevels),
     (["--format", "json", "--enumerate", "3"], ThresholdLevels),
+    # the length alone reaches stdout, whatever else is asked for
+    (["--length-only", "--stats"], UncountedLevels),
+    (["--length-only", "--format", "json"], UncountedLevels),
+    (["--length-only", "--stats", "--verify"], UncountedLevels),
 ])
 def test_ltss_counts_only_what_it_prints(argv, levels, capsys, monkeypatch):
     # a mode that prints no counter scans with levels that count nothing;
     # the library entry points always count, for LtssResult.stats
     scanned = []
-    real = tandem._scan
 
-    def scan(f, ts):
-        scanned.append(type(ts))
-        return real(f, ts)
+    def recording(cls):
+        class Recording(cls):
+            __slots__ = ()
 
-    monkeypatch.setattr(tandem, "_scan", scan)
+            def __init__(self):
+                scanned.append(cls)
+                super().__init__()
+        return Recording
+
+    for cls in (ThresholdLevels, UncountedLevels):
+        monkeypatch.setattr(tandem, cls.__name__, recording(cls))
     assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
     capsys.readouterr()
     assert scanned == [levels]
@@ -388,7 +398,7 @@ def test_print_tandems_matches_reference_on_split_walks():
     texts += [shapes["enumerate-" + label]
               for label in ("uniform", "palindrome", "periodic")]
     for f in texts:
-        lam, split, _ = tandem._scan(f, UncountedLevels())
+        lam, split, _ = tandem._scan(f, counted=False)
         if not lam:
             continue
         lines = [printed(printer, f, lam,

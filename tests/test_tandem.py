@@ -87,10 +87,12 @@ def mutate(rng, text, rate, alphabet):
                    if rng.random() < rate else ch for ch in text)
 
 
-def test_large_strings_against_bitparallel_oracle():
+def large_shapes():
+    """Six shapes of 1000 to 1500 letters: uniform at sigma 2, 4 and 26,
+    one letter, a mutated period and a palindrome."""
     rng = random.Random(41)
     half = uniform(rng, 500, "ACGT")
-    strings = [
+    return [
         uniform(rng, 1000, "AB"),
         uniform(rng, 1200, "ACGT"),
         uniform(rng, 1500, "ABCDEFGHIJKLMNOPQRSTUVWXYZ"),
@@ -98,7 +100,10 @@ def test_large_strings_against_bitparallel_oracle():
         mutate(rng, "ACGT" * 300, 0.1, "ACGT"),
         half + half[::-1],
     ]
-    for f in strings:
+
+
+def test_large_strings_against_bitparallel_oracle():
+    for f in large_shapes():
         res = compute_ltss(f)
         assert (res.length, res.split_index) == bitparallel_ltss(f)
         assert validate_tandem(f, res)
@@ -111,7 +116,7 @@ def test_every_split_length_at_thousands_of_letters():
     strings = [uniform(rng, 2000, alphabet) for alphabet in
                ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")]
     strings.append(uniform(rng, 3000, "ACGT"))
-    for f in strings:
+    for f in strings + large_shapes():
         expected = split_lengths(f)
         for levels in (ThresholdLevels, UncountedLevels):
             comp = Comparator(f)
@@ -282,13 +287,13 @@ def test_split_out_of_range_is_rejected(monkeypatch):
 
 
 def test_compute_ltss_accepts_str_only(monkeypatch):
-    def no_scan(f):
+    def no_scan(*args, **kwargs):
         raise AssertionError("scanned a rejected input")
     monkeypatch.setattr(tandem, "_scan", no_scan)
     # a list of multi-letter tokens would join into a witness that is not
     # a subsequence of anything; a tuple of ints cannot be joined at all
     for f in (["ab", "cd", "ab", "cd"], (1, 2, 1, 2)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="expects a str"):
             compute_ltss(f)
 
 
@@ -340,6 +345,10 @@ def test_result_carries_its_scan_stats():
         carried = dataclasses.replace(compute_ltss(f).stats, elapsed=0.0)
         assert carried == dataclasses.replace(ltss_stats(f), elapsed=0.0)
         assert carried.lambda_max == compute_ltss(f).length
+        # a scan that counts nothing gives the same answer and no stats
+        res = compute_ltss(f)
+        assert tandem._scan(f, counted=False) == \
+            (res.length, res.split_index, None)
 
 
 def benchmark_shapes():
