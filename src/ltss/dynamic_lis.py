@@ -9,7 +9,8 @@ searches.  Supported updates:
   append(v)        value arrives after every current element
   extend(values)   the values arrive one after another, same post-state
                    as repeated append; while the run decreases, each level
-                   search is confined below the previous value's level
+                   search stays at or below the previous value's level
+                   and probes the tail just below it before any bisect
   extract_min()    every occurrence of the smallest value disappears, and
                    level suffixes shift down to repair the tail chain
   all_lis()        lazy enumeration of every longest increasing
@@ -41,7 +42,10 @@ share every level above that, so a consumer that formats items redoes
 only the rewritten ones.  enumerate_lis() yields a copy of each item.
 
 ThresholdLevels and ThresholdStructure count their work in a Counters,
-always on; UncountedLevels counts nothing.  The counted extract cascade
+always on; UncountedLevels counts nothing.  search_steps charges each
+search the binary-search cost of its bound, the bound's bit length, not
+the comparisons it makes, so extend's finger probe leaves it as a plain
+bisect of the bound would.  The counted extract cascade
 tallies no entry transfers: an entry only moves down, one level per
 cut or whole-level shift, until it is extracted at level 1 or merged
 away at a boundary, so
@@ -68,9 +72,10 @@ class Counters:
     """Lifetime instrumentation: call counts, search and structure steps
     for the scaling checks, and the per-level landing tally that the
     transfer totals are derived from when read.  The scalar counts are
-    added once per call; per value, extend counts its bisect probes and
-    landing level, and an extract's level loop the bit length of each cut
-    level's width and each merge."""
+    added once per call; per value, extend counts the binary-search cost
+    of its search's bound, which its finger probe leaves unchanged, and
+    its landing level, and an extract's level loop the bit length of each
+    cut level's width and each merge."""
 
     __slots__ = ("append_calls", "extract_min_calls", "cascade_steps",
                  "search_steps", "structure_steps", "landed", "_levels")
@@ -79,7 +84,7 @@ class Counters:
         self.append_calls = 0
         self.extract_min_calls = 0
         self.cascade_steps = 0     # levels cut by extract cascades
-        self.search_steps = 0      # bisect probes, bounded by bit lengths
+        self.search_steps = 0      # bit length of each search's bound
         self.structure_steps = 0   # inserts, removals, splits, concatenates
         self.landed = []     # [k-1]: entries added at level k, less merges there
         self._levels = levels      # the live levels, read for their lengths
@@ -146,7 +151,14 @@ class UncountedLevels:
         for v in values:
             if v > prev:
                 i = top
-            i = bisect_left(mins, v, 0, i)
+            prev = v
+            if i:
+                w = mins[i - 1]
+                if w >= v:
+                    if w == v:
+                        i -= 1
+                        continue
+                    i = bisect_left(mins, v, 0, i - 1)
             if i == top:
                 top += 1
                 mins.append(v)
@@ -154,7 +166,6 @@ class UncountedLevels:
             elif mins[i] != v:
                 mins[i] = v
                 levels[i].append(-v)
-            prev = v
 
     def extract_min(self):
         """Remove every occurrence of the smallest live value and repair
@@ -200,8 +211,12 @@ class ThresholdLevels(UncountedLevels):
     def extend(self, values):
         """Append each value of the sequence in order.  A value not above
         its predecessor lands at or below the predecessor's level, so
-        within a decreasing run each bisect of the tail chain stops at
-        the previous value's level."""
+        within a decreasing run each search of the tail chain stops at
+        the previous value's level i.  It is a finger search's first step:
+        w, the tail just below level i, decides before any bisect.  w < v
+        lands v at level i, w == v collapses it into w's entry, and only
+        w > v bisects the tails below w.  search_steps adds the bit length
+        of i all the same, the cost of a bisect below level i."""
         n = len(values)     # before any state changes: values must be sized
         mins = self._mins
         levels = self._levels
@@ -213,8 +228,15 @@ class ThresholdLevels(UncountedLevels):
         for v in values:
             if v > prev:
                 i = top
+            prev = v
             probes += i.bit_length()
-            i = bisect_left(mins, v, 0, i)
+            if i:
+                w = mins[i - 1]
+                if w >= v:
+                    if w == v:
+                        i -= 1
+                        continue
+                    i = bisect_left(mins, v, 0, i - 1)
             if i == top:
                 top += 1
                 mins.append(v)
@@ -227,7 +249,6 @@ class ThresholdLevels(UncountedLevels):
                 mins[i] = v
                 levels[i].append(-v)
                 landed[i] += 1
-            prev = v
         stats.append_calls += n
         stats.search_steps += probes
         stats.structure_steps += n
@@ -275,7 +296,7 @@ class ThresholdLevels(UncountedLevels):
             steps = k - 1
         else:
             del levels[k - 1]
-            probes += sum(len(level).bit_length() for level in levels[k - 1:])
+            probes += sum(map(int.bit_length, map(len, levels[k - 1:])))
             steps = len(levels)     # the cut levels and those shifted whole
         stats.extract_min_calls += 1
         stats.cascade_steps += steps
@@ -374,19 +395,28 @@ class ThresholdStructure(ThresholdLevels):
 def positional_levels(runs):
     """Levels of an append-only history of (tag, values) runs, tags
     increasing and values falling within a run: level k is the
-    (values, tags) of its elements in history order, values falling."""
+    (values, tags) of its elements in history order, values falling.
+    Each run's search bound starts at the top level and, values falling,
+    carries over as the previous value's level; as in
+    ThresholdLevels.extend, the tail just below it is probed first and
+    the tails below that are bisected only when it is above the value."""
     tails, values, tags = [], [], []
     for t, run in runs:
+        top = i = len(tails)
         for v in run:
-            k = bisect_left(tails, v)
-            if k == len(tails):
+            if i:
+                w = tails[i - 1]
+                if w >= v:
+                    i = i - 1 if w == v else bisect_left(tails, v, 0, i - 1)
+            if i == top:
+                top += 1
                 tails.append(v)
                 values.append([v])
                 tags.append([t])
             else:
-                tails[k] = v
-                values[k].append(v)
-                tags[k].append(t)
+                tails[i] = v
+                values[i].append(v)
+                tags[i].append(t)
     return list(zip(values, tags))
 
 

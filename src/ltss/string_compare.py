@@ -13,7 +13,7 @@ so MatchIndex.levels builds P's positional levels from them; `ltss lcss`,
 which never drops a letter, answers from that one build alone.
 """
 
-from .dynamic_lis import ThresholdLevels, enumerate_lis, positional_levels
+from .dynamic_lis import enumerate_lis, positional_levels
 
 
 class MatchIndex:
@@ -40,14 +40,15 @@ class MatchIndex:
 
 class Comparator:
     """Common-subsequence tracker between a growing prefix P and the
-    front-shrinking suffix of the original string S."""
+    front-shrinking suffix of the original string S, driving the empty
+    threshold levels ts that its caller picks."""
 
     __slots__ = ("s_text", "index", "ts", "front", "p_letters")
 
-    def __init__(self, s):
+    def __init__(self, s, ts):
         self.s_text = s
         self.index = MatchIndex(s)
-        self.ts = ThresholdLevels()
+        self.ts = ts
         self.front = 0       # letters dropped off the front of S
         self.p_letters = []
 

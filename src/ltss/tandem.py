@@ -54,8 +54,8 @@ def _scan(f, counted):
     Its comparator drives ThresholdLevels if counted, else UncountedLevels,
     and the RunStats is None."""
     start = time.perf_counter()
-    comp = Comparator(f)
-    comp.ts = ts = ThresholdLevels() if counted else UncountedLevels()
+    ts = ThresholdLevels() if counted else UncountedLevels()
+    comp = Comparator(f, ts)
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
@@ -91,7 +91,7 @@ def replay_split(f, split):
     structure is empty, and the state depends only on the survivors."""
     if not 0 <= split <= len(f):
         raise ValueError("split %d outside 0..%d" % (split, len(f)))
-    comp = Comparator(f)
+    comp = Comparator(f, ThresholdLevels())
     for _ in range(split):
         comp.drop_front_of_s()
     for letter in f[:split]:

@@ -37,12 +37,13 @@ def drop_min(shadow):
 
 
 class ReferenceLevels(ThresholdLevels):
-    """Threshold levels whose extract cascade steps one level at a time,
-    shifting the tail chain and tallying every counter per step, as the
-    cascade first did; the reference for the batched cascade.  It keeps
-    its own per-level tally of the entries each step moves, in transfers;
-    its merges leave the landing tally alone, so its
-    Counters.transfers_out is no reference."""
+    """Threshold levels whose extend bisects the tail chain for every
+    value, with no finger probe, and whose extract cascade steps one level
+    at a time, shifting the tail chain and tallying every counter per
+    step, as the cascade first did; the reference for the finger-first
+    extend and the batched cascade.  It keeps its own per-level tally of
+    the entries each step moves, in transfers; its merges leave the
+    landing tally alone, so its Counters.transfers_out is no reference."""
 
     __slots__ = ("moved",)
 
@@ -53,6 +54,38 @@ class ReferenceLevels(ThresholdLevels):
     @property
     def transfers(self):
         return dict(enumerate(self.moved, 2))
+
+    def extend(self, values):
+        n = len(values)
+        mins = self._mins
+        levels = self._levels
+        stats = self.stats
+        landed = stats.landed
+        probes = 0
+        top = i = len(mins)
+        prev = INF
+        for v in values:
+            # within a decreasing run the bisect stops at the previous
+            # value's level
+            if v > prev:
+                i = top
+            probes += i.bit_length()
+            i = bisect_left(mins, v, 0, i)
+            if i == top:
+                top += 1
+                mins.append(v)
+                levels.append([-v])
+                if i == len(landed):
+                    landed.append(0)
+                landed[i] += 1
+            elif mins[i] != v:
+                mins[i] = v
+                levels[i].append(-v)
+                landed[i] += 1
+            prev = v
+        stats.append_calls += n
+        stats.search_steps += probes
+        stats.structure_steps += n
 
     def extract_min(self):
         mins = self._mins
@@ -102,8 +135,8 @@ class ReferenceLevels(ThresholdLevels):
 def reference_run_stats(f):
     """The RunStats of a split scan whose comparator drives ReferenceLevels,
     transfers taken from the reference's own tally and elapsed left 0."""
-    comp = Comparator(f)
-    ts = comp.ts = ReferenceLevels()
+    ts = ReferenceLevels()
+    comp = Comparator(f, ts)
     best_len = 0
     for t in range(1, len(f)):
         comp.drop_front_of_s()
@@ -114,6 +147,24 @@ def reference_run_stats(f):
                     extract_mins=st.extract_min_calls,
                     cascade_steps=st.cascade_steps, transfers=ts.transfers,
                     tree_ops=st.tree_ops(), elapsed=0.0)
+
+
+def reference_positional_levels(runs):
+    """The patience pass that bisects every tail for every value, with no
+    bound; the reference for dynamic_lis.positional_levels."""
+    tails, values, tags = [], [], []
+    for t, run in runs:
+        for v in run:
+            k = bisect_left(tails, v)
+            if k == len(tails):
+                tails.append(v)
+                values.append([v])
+                tags.append([t])
+            else:
+                tails[k] = v
+                values[k].append(v)
+                tags[k].append(t)
+    return list(zip(values, tags))
 
 
 def _window(level, value, tag):

@@ -210,9 +210,9 @@ def test_ltss_scans_once(argv, built, capsys, monkeypatch):
     class Counting(tandem.Comparator):
         __slots__ = ()
 
-        def __init__(self, s):
+        def __init__(self, s, ts):
             strings.append(s)
-            super().__init__(s)
+            super().__init__(s, ts)
 
     monkeypatch.setattr(tandem, "Comparator", Counting)
     assert run_cli(["ltss"] + argv, GOLDEN, monkeypatch) == 0
@@ -620,9 +620,9 @@ def test_lcss_builds_no_comparator(argv, capsys, monkeypatch):
     strings = []
     real = string_compare.Comparator.__init__
 
-    def counting(self, s):
+    def counting(self, s, ts):
         strings.append(s)
-        real(self, s)
+        real(self, s, ts)
 
     monkeypatch.setattr(string_compare.Comparator, "__init__", counting)
     assert not hasattr(cli, "Comparator")

@@ -5,6 +5,7 @@ invariants after randomized traces."""
 import copy
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice, takewhile
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
+from ltss import dynamic_lis
 from ltss.dynamic_lis import (INF, Counters, ThresholdLevels,
                                ThresholdStructure, UncountedLevels,
                                enumerate_lis, positional_levels, walk_lis)
@@ -22,7 +24,8 @@ from ltss.oracle import (enumerate_lis_naive, naive_lis, patience_lis,
 from ltss.tandem import split_levels
 
 from helpers import (WORKED_STREAM, ReferenceLevels, build_structure,
-                     drop_min, random_ops, reference_walk_lis)
+                     drop_min, random_ops, reference_positional_levels,
+                     reference_walk_lis)
 
 # the counters a cascade adds to; Counters.__slots__ adds the landing tally
 # and the levels that transfers_out reads
@@ -212,6 +215,115 @@ def test_extend_equal_neighbour_searches_below_it():
     before = ts.stats.search_steps
     ts.extend([2, 2])
     assert ts.stats.search_steps - before == 3
+
+
+# runs fed in turn to empty levels, so that the finger probe takes each
+# of its branches: bound 0 (the empty structure, then a run that reaches
+# level 1), a landing at the finger, a landing and a collapse one level
+# below it, a landing and a collapse far below it, a rise inside a run and
+# equal neighbours
+FINGER_RUNS = [[5, 3, 1], [6, 4], [7, 5, 2], [8, 5, 2, 1, 0],
+               [9, 3], [10, 2], [4, 6, 1], [7, 7, 3, 3], [11, 10, 9, 8]]
+
+
+def finger_branches(runs):
+    # (branch, collapsed) of each value of the runs fed in turn to empty
+    # levels: where the value lands against its search bound i, the level
+    # the previous value of a falling run took
+    mins, seen = [], set()
+    for run in runs:
+        i = len(mins)
+        prev = INF
+        for v in run:
+            if v > prev:
+                i = len(mins)
+            k = bisect_left(mins, v, 0, i)
+            branch = ("bound 0" if not i else "finger" if k == i else
+                      "one below" if k == i - 1 else "far below")
+            seen.add((branch, k < len(mins) and mins[k] == v))
+            if k == len(mins):
+                mins.append(v)
+            mins[k] = v
+            i, prev = k, v
+    return seen
+
+
+@pytest.mark.parametrize("levels", [ThresholdLevels, UncountedLevels])
+def test_finger_extend_matches_bisecting_reference(levels):
+    # the finger-first extend and the extend that bisects every value hold
+    # the same keys, tail chain and counters after every run; the runs
+    # take each branch of the probe, and random runs follow, falling ones
+    # as the comparator feeds them and unsorted ones with rises
+    assert finger_branches(FINGER_RUNS) >= {
+        ("bound 0", False), ("finger", False), ("finger", True),
+        ("one below", False), ("one below", True),
+        ("far below", False), ("far below", True)}
+    rng = random.Random(61)
+    runs = FINGER_RUNS + [
+        sorted(rng.sample(range(1, 30), rng.randint(1, 12)), reverse=True)
+        if rng.random() < 0.7 else
+        [rng.randint(1, 29) for _ in range(rng.randint(0, 12))]
+        for _ in range(300)]
+    ts, reference = levels(), ReferenceLevels()
+    for run in runs:
+        ts.extend(run)
+        reference.extend(run)
+        assert ts.key_lists() == reference.key_lists()
+        assert ts._mins == reference._mins
+        if levels is ThresholdLevels:
+            assert counter_state(ts.stats) == counter_state(reference.stats)
+        if rng.random() < 0.3 and reference.lis_length:
+            # one cascade on both sides, so that only extend differs
+            ts.extract_min()
+            ThresholdLevels.extract_min(reference)
+
+
+# every value of these runs lands at its finger or collapses one level
+# below it, as on a one-letter string, and the last run's equal
+# neighbours follow a collapse
+SELF_SIMILAR_RUNS = [[5, 4, 3, 2, 1]] * 5 + [[7, 6, 5, 5]]
+
+
+def extend_each(levels, runs):
+    for run in runs:
+        levels.extend(run)
+
+
+@pytest.mark.parametrize("feed", [
+    lambda runs: extend_each(ThresholdLevels(), runs),
+    lambda runs: extend_each(UncountedLevels(), runs),
+    lambda runs: positional_levels(enumerate(runs, 1)),
+], ids=["counted", "uncounted", "positional"])
+def test_finger_hits_make_no_bisect(feed, monkeypatch):
+    # a value that lands at the finger or collapses one level below it is
+    # placed by the probe alone; one that lands further down bisects
+    calls = []
+    monkeypatch.setattr(dynamic_lis, "bisect_left",
+                        lambda *args: calls.append(args) or bisect_left(*args))
+    feed(SELF_SIMILAR_RUNS)
+    assert calls == []
+    feed([[3], [1]])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 20])
+def test_positional_levels_match_unbounded_reference(sigma):
+    # the finger-first patience pass against the one that bisects every
+    # tail, on each prefix letter's falling match run, as split_levels
+    # feeds it, and on runs of one with ties, as all_lis and `ltss lis` do
+    rng = random.Random(sigma)
+    letters = "ACDEFGHIKLMNPQRSTVWY"[:sigma]
+    for _ in range(40):
+        f = "".join(rng.choice(letters) for _ in range(rng.randint(1, 120)))
+        split = rng.randint(0, len(f))
+        by_letter = {}
+        for j in range(len(f), split, -1):
+            by_letter.setdefault(f[j - 1], []).append(j)
+        runs = [(i, by_letter.get(letter, ()))
+                for i, letter in enumerate(f[:split], 1)]
+        assert positional_levels(runs) == reference_positional_levels(runs)
+        ones = [(i, (rng.randint(1, sigma + 2),)) for i in range(1, 60)]
+        assert positional_levels(ones) == reference_positional_levels(ones)
 
 
 def test_extend_runs_survive_extracts():

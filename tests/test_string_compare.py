@@ -31,7 +31,7 @@ def test_match_index_golden():
 
 def test_match_index_live_cursor():
     # each drop pops the dropped position off its own letter's list
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     lists = comp.index.by_letter
     for k in range(1, len(S_GOLDEN) + 1):
         before = {c: list(ps) for c, ps in lists.items()}
@@ -44,7 +44,7 @@ def test_match_index_live_cursor():
 
 
 def test_append_to_p_builds_worked_state():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     advance(comp, "AGCG")
     assert comp.ts.key_lists() == [[8, 2, 1], [6, 5, 4, 3], [6, 5, 4]]
     assert comp.lcss_length == 3
@@ -52,7 +52,7 @@ def test_append_to_p_builds_worked_state():
 
 
 def test_append_skips_consumed_positions():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     comp.drop_front_of_s()
     comp.append_to_p("A")
     assert comp.ts.key_lists() == [[8, 2]]
@@ -60,14 +60,14 @@ def test_append_skips_consumed_positions():
 
 
 def test_missing_letter_is_a_noop():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     comp.append_to_p("X")
     assert comp.p_len == 1
     assert comp.lcss_length == 0
 
 
 def test_drop_front_session_mirrors_worked_example():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     advance(comp, "AGCG")
     comp.drop_front_of_s()   # position 1 was matched: one extract-min
     assert comp.ts.key_lists() == [[8, 2], [6, 5, 4, 3], [6, 5, 4]]
@@ -80,7 +80,7 @@ def test_drop_front_session_mirrors_worked_example():
 
 
 def test_drop_front_without_match_is_constant_time_noop():
-    comp = Comparator("TACGT")
+    comp = Comparator("TACGT", ThresholdLevels())
     comp.append_to_p("A")
     assert comp.ts.key_lists() == [[2]]
     comp.drop_front_of_s()   # T at position 1 never fed the structure
@@ -89,7 +89,7 @@ def test_drop_front_without_match_is_constant_time_noop():
 
 
 def test_drop_front_exhausted_error():
-    comp = Comparator("AB")
+    comp = Comparator("AB", ThresholdLevels())
     comp.drop_front_of_s()
     comp.drop_front_of_s()
     with pytest.raises(ValueError):
@@ -97,17 +97,17 @@ def test_drop_front_exhausted_error():
 
 
 def test_lcss_length_golden():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     advance(comp, "AGCG")
     assert comp.lcss_length == lcss_length("AGCG", S_GOLDEN) == 3
 
 
 def test_lcss_empty_prefix():
-    assert Comparator(S_GOLDEN).lcss_length == 0
+    assert Comparator(S_GOLDEN, ThresholdLevels()).lcss_length == 0
 
 
 def test_witness_golden_is_valid():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     advance(comp, "AGCG")
     pairs = next(comp.witnesses())
     assert pairs == next(comp.witnesses())  # deterministic
@@ -120,19 +120,19 @@ def test_witness_golden_is_valid():
 
 
 def test_witness_single_pair():
-    comp = Comparator("A")
+    comp = Comparator("A", ThresholdLevels())
     comp.append_to_p("A")
     assert next(comp.witnesses()) == [(1, 1)]
 
 
 def test_witness_empty_error():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     with pytest.raises(ValueError):
         next(comp.witnesses())
 
 
 def test_witnesses_enumerates_distinct_pairings():
-    comp = Comparator(S_GOLDEN)
+    comp = Comparator(S_GOLDEN, ThresholdLevels())
     advance(comp, "AGCG")
     all_pairs = [tuple(w) for w in comp.witnesses()]
     assert len(all_pairs) == len(set(all_pairs))
@@ -145,7 +145,7 @@ def test_random_interleavings_match_dp():
         n = rng.randint(1, 24)
         sigma = rng.choice(["AB", "ABC", "ABCD"])
         s = "".join(rng.choice(sigma) for _ in range(n))
-        comp = Comparator(s)
+        comp = Comparator(s, ThresholdLevels())
         p = []
         front = 0
         for _ in range(rng.randint(1, 2 * n)):
@@ -210,7 +210,7 @@ class ComparatorMachine(RuleBasedStateMachine):
         self.s = s
         self.p = ""
         self.front = 0
-        self.comp = Comparator(s)
+        self.comp = Comparator(s, ThresholdLevels())
         self.shadow = ThresholdStructure()
         self.owner = [None]   # shadow position -> prefix index
 

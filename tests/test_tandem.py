@@ -119,8 +119,7 @@ def test_every_split_length_at_thousands_of_letters():
     for f in strings + large_shapes():
         expected = split_lengths(f)
         for levels in (ThresholdLevels, UncountedLevels):
-            comp = Comparator(f)
-            comp.ts = levels()
+            comp = Comparator(f, levels())
             got = [comp.lcss_length]
             for letter in f:
                 comp.drop_front_of_s()
@@ -150,7 +149,7 @@ def test_replay_split_reaches_scan_state():
 def scan_replay(f, split):
     """Reference: the scan's interleaved drops and appends up to split,
     extract-mins included."""
-    comp = Comparator(f)
+    comp = Comparator(f, ThresholdLevels())
     for t in range(1, split + 1):
         comp.drop_front_of_s()
         comp.append_to_p(f[t - 1])
@@ -245,9 +244,9 @@ def test_split_tandems_builds_no_comparator(monkeypatch):
     built = []
     real = string_compare.Comparator.__init__
 
-    def counting(self, s):
+    def counting(self, s, ts):
         built.append(s)
-        real(self, s)
+        real(self, s, ts)
 
     monkeypatch.setattr(string_compare.Comparator, "__init__", counting)
     for split in range(1, len(GOLDEN)):
@@ -266,9 +265,9 @@ def test_split_out_of_range_is_rejected(monkeypatch):
     class Counting(Comparator):
         __slots__ = ()
 
-        def __init__(self, s):
+        def __init__(self, s, ts):
             built.append(s)
-            super().__init__(s)
+            super().__init__(s, ts)
 
     monkeypatch.setattr(tandem, "Comparator", Counting)
     for split in (-4, -1, 5, 7):

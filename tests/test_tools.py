@@ -32,7 +32,8 @@ def run(value, failed=0, correct=True):
 def test_exit_status_counts_every_failed_run(broken, status, tmp_path,
                                              monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "solve_s.p50", "better": "lower"}]}))
+        {"end_to_end": [{"name": "solve_s.p50", "better": "lower",
+                         "bound": 0.25}]}))
     ab_pairs = load_ab_pairs()
     calls = []
 
@@ -49,3 +50,32 @@ def test_exit_status_counts_every_failed_run(broken, status, tmp_path,
     assert calls == [(str(tmp_path), "enumerate", 0, 1.0)] * 4
     out = capsys.readouterr().out
     assert json.loads(out.splitlines()[-1])["workload"] == "enumerate"
+    if broken is None:
+        # base read 1.0 then 0.9, change 0.9 then 1.0: equal medians
+        row = [line.split() for line in out.splitlines()
+               if line.startswith("solve_s.p50    change")]
+        assert row[0][-4:] == ["1", "of", "2", "unresolved"]
+
+
+SPREAD = [0.9, 0.95, 0.97, 0.99, 1.0, 1.0, 1.01, 1.03, 1.05, 1.1]
+
+
+@pytest.mark.parametrize("base,change,better,expected", [
+    # nine of ten pairs won, the median 0.2 better against a 0.05 spread
+    (SPREAD, [0.8] * 9 + [1.1], "lower", "gain"),
+    (SPREAD, [1.2] * 9 + [0.9], "higher", "gain"),
+    # eight of ten pairs won is too few, however large the gain
+    (SPREAD, [0.5] * 8 + [1.1] * 2, "lower", "unresolved"),
+    # three pairs are too few to claim anything
+    (SPREAD[:3], [0.5] * 3, "lower", "unresolved"),
+    # every pair won, by less than the base's quartile spread
+    (SPREAD, [x - 0.02 for x in SPREAD], "lower", "unresolved"),
+    # the median 30% worse, beyond the 25% bound, either way up
+    (SPREAD, [1.3] * 10, "lower", "worse"),
+    (SPREAD, [0.7] * 10, "higher", "worse"),
+    # 20% worse stays inside the bound
+    (SPREAD, [1.2] * 10, "lower", "unresolved"),
+], ids=["gain", "gain-higher", "eight-of-ten", "three-pairs",
+        "within-spread", "worse", "worse-higher", "within-bound"])
+def test_verdict_follows_the_pair_rule(base, change, better, expected):
+    assert load_ab_pairs().verdict(base, change, better, 0.25) == expected

@@ -10,8 +10,12 @@ a `git archive` of the parent commit and the working tree.  Each pair runs
 the side that goes first alternates from pair to pair, so a drift in
 machine speed does not favour one side.  For every end-to-end metric of
 CHANGE's BENCHMARK.json the report gives, per side, the median and the
-quartiles over the pairs, and the number of pairs CHANGE won in the
-metric's better direction.  It also reports every run that failed a
+quartiles over the pairs, the number of pairs CHANGE won in the metric's
+better direction, and a verdict: "gain" when, over at least ten pairs,
+CHANGE won at least nine tenths of them and its median beats BASE's by
+more than BASE's quartile spread (q3 - q1), "worse" when its median is worse than BASE's
+by more than the metric's bound, a fraction of BASE's median, and
+"unresolved" otherwise.  It also reports every run that failed a
 request or did not finish.  The last line of stdout is one JSON object
 with every run's metrics.  The exit status is 1 if any run failed a
 request, reported "correct": false or did not finish, else 0.  Nothing is
@@ -52,10 +56,33 @@ def quartiles(values):
 
 
 def end_to_end_metrics(checkout):
-    """(name, better) of each end-to-end metric the checkout declares."""
+    """(name, better, bound) of each end-to-end metric the checkout
+    declares."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+
+
+def wins(base, change, better):
+    """Pairs in which change beats base in the better direction; a tie
+    counts for neither."""
+    return sum((c < b) if better == "lower" else (c > b)
+               for b, c in zip(base, change))
+
+
+def verdict(base, change, better, bound):
+    """"gain", "worse" or "unresolved" for one metric's paired values (see
+    the module docstring)."""
+    q1, base_median, q3 = quartiles(base)
+    gain = base_median - quartiles(change)[1]
+    if better != "lower":
+        gain = -gain
+    if (len(base) >= 10 and 10 * wins(base, change, better) >= 9 * len(base)
+            and gain > q3 - q1):
+        return "gain"
+    if -gain > bound * abs(base_median):
+        return "worse"
+    return "unresolved"
 
 
 def main(argv=None):
@@ -89,20 +116,22 @@ def main(argv=None):
     print("workload=%s seed=%d pairs=%d seconds=%g complete=%d"
           % (args.workload, args.seed, args.pairs, args.seconds, len(complete)))
     if complete:
-        print("%-14s %-6s %12s %12s %12s %10s"
-              % ("metric", "side", "q1", "median", "q3", "change won"))
-    for name, better in metrics:
+        print("%-14s %-6s %12s %12s %12s %10s  %s"
+              % ("metric", "side", "q1", "median", "q3", "change won",
+                 "verdict"))
+    for name, better, bound in metrics:
         if not complete:
             break
         values = {side: [runs[side][i]["metrics"][name]["value"]
                          for i in complete] for side in SIDES}
-        won = sum((c < b) if better == "lower" else (c > b)
-                  for b, c in zip(values["base"], values["change"]))
-        for side in SIDES:
-            q1, q2, q3 = quartiles(values[side])
-            print("%-14s %-6s %12.6g %12.6g %12.6g %10s"
-                  % (name, side, q1, q2, q3,
-                     "%d of %d" % (won, len(complete)) if side == "change" else ""))
+        q1, q2, q3 = quartiles(values["base"])
+        print("%-14s %-6s %12.6g %12.6g %12.6g" % (name, "base", q1, q2, q3))
+        q1, q2, q3 = quartiles(values["change"])
+        print("%-14s %-6s %12.6g %12.6g %12.6g %10s  %s"
+              % (name, "change", q1, q2, q3, "%d of %d" % (
+                  wins(values["base"], values["change"], better),
+                  len(complete)), verdict(values["base"], values["change"],
+                                          better, bound)))
     status = 0
     for side in SIDES:
         failed = [(i + 1, r["failed"], r["attempted"])
