@@ -337,28 +337,11 @@ class ThresholdStructure(ThresholdLevels):
         return out
 
     def append(self, value):
-        """extend((value,)) done directly, every counter included: one
-        bisect of the tail chain, one landing tally, one log entry."""
+        """extend((value,)) without the batch path: after its NaN check,
+        the levels' counted loop runs on a run of one, then one log entry."""
         if value != value:
             raise ValueError("NaN is not ordered against other values")
-        mins = self._mins
-        stats = self.stats
-        landed = stats.landed
-        top = len(mins)
-        i = bisect_left(mins, value)
-        stats.search_steps += top.bit_length()
-        if i == top:
-            mins.append(value)
-            self._levels.append([-value])
-            if i == len(landed):
-                landed.append(0)
-            landed[i] += 1
-        elif mins[i] != value:
-            mins[i] = value
-            self._levels[i].append(-value)
-            landed[i] += 1
-        stats.append_calls += 1
-        stats.structure_steps += 1
+        ThresholdLevels.extend(self, (value,))
         self.size += 1
         self._log.append(value)
         self._count[value] += 1

@@ -1,9 +1,12 @@
-"""Shared test plumbing: structure builders, randomized trace drivers and
-reference implementations of the structure's fast paths."""
+"""Shared test plumbing: structure builders, randomized trace drivers,
+reference implementations of the structure's fast paths and the
+benchmark corpus's strings."""
 
+import importlib.util
 import sys
 from bisect import bisect_left, bisect_right
 from operator import itemgetter, neg
+from pathlib import Path
 
 from ltss.dynamic_lis import INF, ThresholdLevels, ThresholdStructure
 from ltss.string_compare import Comparator
@@ -21,6 +24,22 @@ def build_structure(values, batch=False):
         for v in values:
             ts.append(v)
     return ts
+
+
+def benchmark_shapes():
+    """The first string of every shape in the benchmark corpus at seed 0,
+    named by workload and shape, such as "dna-near-tandem", from
+    perfbench/corpus.py itself, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    shapes = {}
+    for prefix, workload in (("dna", "dna-scan"), ("protein", "protein-cli"),
+                             ("enumerate", "enumerate")):
+        for item in corpus.build(workload, 0):
+            shapes.setdefault(prefix + "-" + item.label, item.text)
+    return shapes
 
 
 def random_ops(rng, length, vmax, p_extract=0.3):

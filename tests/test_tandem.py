@@ -20,7 +20,7 @@ from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
                          split_tandems)
 
-from helpers import reference_run_stats
+from helpers import benchmark_shapes, reference_run_stats
 
 GOLDEN = "AGCGAACGGGTA"
 
@@ -110,22 +110,24 @@ def test_large_strings_against_bitparallel_oracle():
 
 
 def test_every_split_length_at_thousands_of_letters():
-    # a comparator per levels class, stepped as _scan steps its own, holds
-    # the common-subsequence length of every split, not just the best one
+    # a comparator, stepped as _scan steps its own, holds the
+    # common-subsequence length of every split, not just the best one; it
+    # steps UncountedLevels alone, which
+    # test_uncounted_levels_lockstep_with_counted holds to ThresholdLevels
+    # key-for-key after every operation
     rng = random.Random(53)
     strings = [uniform(rng, 2000, alphabet) for alphabet in
                ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")]
     strings.append(uniform(rng, 3000, "ACGT"))
     for f in strings + large_shapes():
         expected = split_lengths(f)
-        for levels in (ThresholdLevels, UncountedLevels):
-            comp = Comparator(f, levels())
-            got = [comp.lcss_length]
-            for letter in f:
-                comp.drop_front_of_s()
-                comp.append_to_p(letter)
-                got.append(comp.lcss_length)
-            assert got == expected, (len(f), levels.__name__)
+        comp = Comparator(f, UncountedLevels())
+        got = [comp.lcss_length]
+        for letter in f:
+            comp.drop_front_of_s()
+            comp.append_to_p(letter)
+            got.append(comp.lcss_length)
+        assert got == expected, len(f)
 
 
 def test_stats_match_stepping_reference_at_thousands_of_letters():
@@ -348,25 +350,6 @@ def test_result_carries_its_scan_stats():
         res = compute_ltss(f)
         assert tandem._scan(f, counted=False) == \
             (res.length, res.split_index, None)
-
-
-def benchmark_shapes():
-    """The first string of every shape in the benchmark corpus at seed 0,
-    built the way perfbench/corpus.py builds them."""
-    dna, amino = "ACGT", "ACDEFGHIKLMNPQRSTVWY"
-    rng = random.Random("dna-scan/0")
-    scan = [uniform(rng, 600, dna) for _ in range(10)]
-    x = uniform(rng, 300, dna)
-    near = x + mutate(rng, x, 0.05, dna)
-    protein = uniform(random.Random("protein-cli/0"), 800, amino)
-    rng = random.Random("enumerate/0")
-    spread = uniform(rng, 400, dna)
-    x = uniform(rng, 200, dna)
-    periodic = mutate(rng, dna * 100, 0.15, dna)
-    return {"dna-uniform": scan[0], "dna-near-tandem": near,
-            "dna-single-letter": "A" * 600, "protein-uniform": protein,
-            "enumerate-uniform": spread, "enumerate-palindrome": x + x[::-1],
-            "enumerate-periodic": periodic}
 
 
 # (matches, lambda_max, extract_mins, entries moved, first 16 hex digits of
