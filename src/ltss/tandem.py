@@ -1,23 +1,32 @@
 """Longest tandem scattered subsequence driver.
 
-Scan every prefix/suffix split of the input: at step t the comparator
+Scan the prefix/suffix splits of the input: at step t the comparator
 drops letter t off the suffix and appends it to the prefix, so the tracked
-length is the common-subsequence length of F[1..t] against F[t+1..n].  The
-best split (earliest on ties) then yields a witness and its two disjoint
-occurrences from one positional build of F[1..t] over F[t+1..n].
-compute_ltss and the CLI scan through _scan and take the witness from
-solve, whose walk an enumerating caller continues.  _scan alone picks the
-levels it drives, from whether its caller reads counters: ThresholdLevels
-counts the scan's work into a RunStats, UncountedLevels counts nothing and
-gives none.
+length L(t) is the common-subsequence length of F[1..t] against
+F[t+1..n].  The best split (earliest on ties) then yields a witness and
+its two disjoint occurrences from one positional build of F[1..t] over
+F[t+1..n].  compute_ltss and the CLI scan through _scan and take the
+witness from solve, whose walk an enumerating caller continues.  _scan
+alone picks the levels it drives, from whether its caller reads counters:
+ThresholdLevels counts the scan's work into a RunStats, and that scan
+steps every split.  UncountedLevels counts nothing and gives none, and
+its scan steps only the splits that can still win.  L(t) is at most B(t),
+the sum over letters of the lesser of their counts on each side, and it
+moves by at most 1 per step.  So the scan starts at the first split whose
+B reaches one exact length, the bit-vector LCS at B's earliest maximum,
+and stops once no later split can beat the best length so far within
+either bound.  Splits outside that window can neither win nor tie, so the
+length and split, which still come from the levels, are those of a full
+scan.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 
-from .dynamic_lis import ThresholdLevels, UncountedLevels, walk_lis
+from .dynamic_lis import INF, ThresholdLevels, UncountedLevels, walk_lis
 from .string_compare import Comparator, MatchIndex
 
 
@@ -51,16 +60,21 @@ class RunStats:
 
 def _scan(f, counted):
     """Run the split scan and return (best_len, best_split, RunStats).
-    Its comparator drives ThresholdLevels if counted, else UncountedLevels,
-    and the RunStats is None."""
+    Its comparator drives ThresholdLevels if counted, and steps every
+    split, as no reach stops it.  Else it drives UncountedLevels, steps
+    only the window of splits that can still win, from _window(f) to
+    the break, and the RunStats is None."""
     start = time.perf_counter()
+    n = len(f)
     ts = ThresholdLevels() if counted else UncountedLevels()
     comp = Comparator(f, ts)
+    first, reach = (1, [INF] * (n + 1)) if counted else _window(f)
+    _append_to_split(comp, f, first - 1)
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
     best_split = 0
-    for t in range(1, len(f)):
+    for t in range(first, n):
         drop()
         append_to_p(f[t - 1])
         lam = ts.lis_length
@@ -69,6 +83,10 @@ def _scan(f, counted):
         if lam > best_len:
             best_len = lam
             best_split = t
+        # a later split t' wins only if L(t') > best_len, yet L(t') is at
+        # most B(t') and at most lam + t' - t
+        if reach[min(t + 1 + best_len - lam, n)] <= best_len:
+            break
     elapsed = time.perf_counter() - start
     if not counted:
         return best_len, best_split, None
@@ -84,18 +102,56 @@ def _scan(f, counted):
         elapsed=elapsed,
     )
 
-def replay_split(f, split):
-    """Comparator holding f[:split] against f[split:], for callers that
-    keep driving it; the tandem path builds none.  Appends alone reach the
-    scan's state: no drop extracts, as the front reaches split while the
-    structure is empty, and the state depends only on the survivors."""
-    if not 0 <= split <= len(f):
-        raise ValueError("split %d outside 0..%d" % (split, len(f)))
-    comp = Comparator(f, ThresholdLevels())
+def _window(f):
+    """(first, reach): the first split an uncounted scan steps, and
+    reach[t], the largest letter-count bound B(t') over t <= t' <= n.
+    Every split before first has L(t) <= B(t) < L(t*) for B's earliest
+    maximum t*, so it can neither win nor tie."""
+    # a letter's slack is its count less one, less twice its copies left
+    # of the split: one more copy crossing left raises its term in B while
+    # the slack is positive and lowers it while the slack is negative
+    slack = {letter: count - 1 for letter, count in Counter(f).items()}
+    bounds = [0]
+    for letter in f:
+        s = slack[letter]
+        slack[letter] = s - 2
+        bounds.append(bounds[-1] + (s > 0) - (s < 0))
+    reach = list(accumulate(reversed(bounds), max))[::-1]
+    floor = _split_length(f, bounds.index(reach[0]))
+    first = next(t for t, bound in enumerate(bounds) if bound >= floor)
+    return max(first, 1), reach
+
+def _split_length(f, split):
+    """L(split), the common-subsequence length of f[:split] against
+    f[split:], from the Allison-Dix / Hyyro bit-vector LCS on Python
+    ints: bit j of row is cleared where the DP row steps up at suffix
+    column j + 1."""
+    masks = {}
+    for j, letter in enumerate(f[split:]):
+        masks[letter] = masks.get(letter, 0) | 1 << j
+    row = full = (1 << (len(f) - split)) - 1
+    for letter in f[:split]:
+        hits = row & masks.get(letter, 0)
+        row = ((row + hits) | (row - hits)) & full
+    return len(f) - split - row.bit_count()
+
+def _append_to_split(comp, f, split):
+    """Bring comp, fresh over f, to f[:split] against f[split:] by
+    appends alone: no drop extracts, as the front reaches split while
+    the structure is empty, and the state depends only on the
+    survivors."""
     for _ in range(split):
         comp.drop_front_of_s()
     for letter in f[:split]:
         comp.append_to_p(letter)
+
+def replay_split(f, split):
+    """Comparator holding f[:split] against f[split:], for callers that
+    keep driving it; the tandem path builds none."""
+    if not 0 <= split <= len(f):
+        raise ValueError("split %d outside 0..%d" % (split, len(f)))
+    comp = Comparator(f, ThresholdLevels())
+    _append_to_split(comp, f, split)
     return comp
 
 def split_levels(f, split):

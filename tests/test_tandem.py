@@ -109,6 +109,125 @@ def test_large_strings_against_bitparallel_oracle():
         assert validate_tandem(f, res)
 
 
+def same_scan_answer(f):
+    return (tandem._scan(f, counted=False)[:2]
+            == tandem._scan(f, counted=True)[:2])
+
+
+def test_uncounted_scan_answers_as_counted_exhaustive():
+    # criterion 4's ranges: every binary string up to 12 letters and every
+    # ternary one up to 9
+    for alphabet, max_n in (("AB", 12), ("ABC", 9)):
+        for n in range(max_n + 1):
+            for letters in itertools.product(alphabet, repeat=n):
+                assert same_scan_answer("".join(letters)), letters
+
+
+def test_uncounted_scan_answers_as_counted_on_shapes():
+    rng = random.Random(61)
+    strings = [uniform(rng, rng.randint(1, 300), alphabet)
+               for alphabet in ("A", "AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")
+               for _ in range(15)]
+    strings += large_shapes() + list(benchmark_shapes().values())
+    for f in strings:
+        assert same_scan_answer(f), f
+    # any hashable sequence: a list of ints
+    ints = [rng.randint(1, 5) for _ in range(200)]
+    assert same_scan_answer(ints)
+    assert tandem._scan(ints, counted=False)[:2] == bitparallel_ltss(ints)
+
+
+def test_split_length_matches_oracle_at_every_split():
+    rng = random.Random(67)
+    strings = ["", "A", "Z", "ABCDEFG", "GFEDCBA"] + [
+        uniform(rng, rng.randint(0, 60),
+                rng.choice(("AB", "ACGT", "ABCDEFGH")))
+        for _ in range(60)]
+    for f in strings:
+        assert [tandem._split_length(f, t) for t in range(len(f) + 1)] == \
+            split_lengths(f), f
+
+
+def window_reference(f):
+    """(first, stop, reach) of the uncounted scan's window on at least two
+    letters, from the definitions: B(t) from each side's letter counts,
+    L(t) from the bit-parallel oracle.  It starts at the first B(t) that
+    reaches L at B's earliest maximum, and stops at the first split
+    after which no later split u can beat the best length so far, either
+    because B(u) <= best or because L(t) + u - t <= best.  reach[t] is
+    the largest B(u) over u >= t."""
+    n = len(f)
+    bounds = [sum((Counter(f[:t]) & Counter(f[t:])).values())
+              for t in range(n + 1)]
+    reach = [max(bounds[t:]) for t in range(n + 1)]
+    lengths = split_lengths(f)
+    floor = lengths[bounds.index(max(bounds))]
+    first = next(t for t in range(1, n) if bounds[t] >= floor)
+    best = 0
+    for t in range(first, n):
+        best = max(best, lengths[t])
+        if all(bounds[u] <= best or lengths[t] + u - t <= best
+               for u in range(t + 1, n)):
+            return first, t, reach
+    return first, n - 1, reach
+
+
+def test_window_matches_its_definition():
+    rng = random.Random(73)
+    for _ in range(200):
+        f = uniform(rng, rng.randint(2, 50),
+                    rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
+        first, _, reach = window_reference(f)
+        assert tandem._window(f) == (first, reach), f
+
+
+def test_uncounted_scan_steps_only_the_window(monkeypatch):
+    # the uncounted scan reaches split first - 1 by drops and appends alone,
+    # with no extract, then steps up to the window's stop; the counted scan
+    # steps every split
+    f = uniform(random.Random(71), 600, "ACGT")
+    n = len(f)
+    first, stop, _ = window_reference(f)
+    assert 1 < first < stop < n - 1
+    events = []
+    real_drop = Comparator.drop_front_of_s
+    real_append = Comparator.append_to_p
+
+    def drop(self):
+        events.append("d")
+        real_drop(self)
+
+    def append(self, letter):
+        events.append("a")
+        real_append(self, letter)
+
+    monkeypatch.setattr(Comparator, "drop_front_of_s", drop)
+    monkeypatch.setattr(Comparator, "append_to_p", append)
+    for cls in (UncountedLevels, ThresholdLevels):
+        real_extract = cls.extract_min
+
+        def extract(self, real_extract=real_extract):
+            events.append("x")
+            real_extract(self)
+        monkeypatch.setattr(cls, "extract_min", extract)
+
+    def scan(counted):
+        events.clear()
+        answer = tandem._scan(f, counted)[:2]
+        first_extract = events[:events.index("x")].count("d")
+        return answer, events.count("d"), events.index("a"), first_extract
+
+    answer, drops, skipped, first_extract = scan(False)
+    assert answer == bitparallel_ltss(f)
+    assert (skipped, drops) == (first - 1, stop)
+    assert first_extract >= first
+    answer, drops, skipped, first_extract = scan(True)
+    assert answer == bitparallel_ltss(f)
+    assert (skipped, drops) == (1, n - 1)
+    # the interleaved scan extracts before the window's first split
+    assert first_extract < first
+
+
 def test_every_split_length_at_thousands_of_letters():
     # a comparator, stepped as _scan steps its own, holds the
     # common-subsequence length of every split, not just the best one; it
