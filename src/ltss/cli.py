@@ -29,7 +29,7 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from . import oracle, tandem
-from .dynamic_lis import enumerate_lis, positional_levels
+from .dynamic_lis import positional_levels, walk_lis
 from .string_compare import MatchIndex
 
 
@@ -199,9 +199,13 @@ def cmd_lcss(args):
                          % oracle.LCSS_CELL_GUARD)
     levels = MatchIndex(args.s).levels(args.p)
     length = len(levels)
-    # one enumeration per request; its first item is the reported witness
-    found = islice(enumerate_lis(levels), args.enumerate or 1)
-    p_positions, s_positions = next(found) if length else ([], [])
+    # one walk per request; its first item is the reported witness, kept
+    # across the walk, so copied out of the walk's slots
+    found = islice(walk_lis(levels), args.enumerate or 1)
+    p_positions, s_positions = [], []
+    if length:
+        _, tags, values = next(found)
+        p_positions, s_positions = tags[:], values[:]
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
         pairs = list(zip(p_positions, s_positions))
@@ -221,7 +225,7 @@ def cmd_lcss(args):
         print(length)
         return 0
     witness = "".join(args.p[i - 1] for i in p_positions)
-    alternatives = (chain([(p_positions, s_positions)], found)
+    alternatives = (chain([(length, p_positions, s_positions)], found)
                     if args.enumerate and length else ())
     # counts of the one build: every equal-letter pair; nothing leaves S
     stats = {"matches": sum(len(tags) for _, tags in levels),
@@ -236,15 +240,15 @@ def cmd_lcss(args):
         if stats:
             payload["stats"] = stats
         if alternatives:
-            payload["witnesses"] = [{"pPositions": a, "sPositions": b}
-                                    for a, b in alternatives]
+            payload["witnesses"] = [{"pPositions": a[:], "sPositions": b[:]}
+                                    for _, a, b in alternatives]
         print(json.dumps(payload))
         return 0
     print("length=%d" % length)
     print("witness=%s" % witness)
     print("p_positions=%s" % _csv(p_positions))
     print("s_positions=%s" % _csv(s_positions))
-    for a, b in alternatives:
+    for _, a, b in alternatives:
         print("pairs=%s" % ",".join("%d:%d" % pair for pair in zip(a, b)))
     if stats:
         print("matches=%(matches)d\nlambda_max=%(lambdaMax)d\n"
@@ -268,16 +272,16 @@ def cmd_lis(args):
     if args.length_only:
         print(length)
         return 0
-    sequences = islice(enumerate_lis(levels), args.enumerate or 0)
+    sequences = islice(walk_lis(levels), args.enumerate or 0)
     if args.format == "json":
         payload = {"length": length}
         if args.enumerate:
             payload["sequences"] = [[[v, p] for v, p in zip(values, tags)]
-                                    for tags, values in sequences]
+                                    for _, tags, values in sequences]
         print(json.dumps(payload))
         return 0
     print("length=%d" % length)
-    for tags, values in sequences:
+    for _, tags, values in sequences:
         print("seq=%s" % ",".join("%d:%d" % vp for vp in zip(values, tags)))
     return 0
 

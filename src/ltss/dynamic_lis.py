@@ -6,15 +6,16 @@ ascending list holds them with the minimum value at its tail, and the
 level minima form a strictly increasing tail chain that drives all
 searches.  Supported updates:
 
-  append(v)        value arrives after every current element
-  extend(values)   the values arrive one after another, same post-state
-                   as repeated append; while the run decreases, each level
+  extend(values)   the values arrive one after another, each after every
+                   current element; while the run decreases, each level
                    search stays at or below the previous value's level
                    and probes the tail just below it before any bisect
   extract_min()    every occurrence of the smallest value disappears, and
                    level suffixes shift down to repair the tail chain
-  all_lis()        lazy enumeration of every longest increasing
-                   subsequence, largest value chain first
+
+ThresholdStructure adds append(v), the counted extend((v,)) after a NaN
+check, and all_lis(), a lazy enumeration of every longest increasing
+subsequence, largest value chain first.
 
 UncountedLevels keeps the levels alone, so its space is O(live keys): it
 is what the scan's comparator drives for a request that prints no
@@ -39,7 +40,8 @@ place, so match runs tagged by prefix positions give a witness's p and
 s positions as they are.  Each
 walk item says how many leading levels it rewrote: consecutive items
 share every level above that, so a consumer that formats items redoes
-only the rewritten ones.  enumerate_lis() yields a copy of each item.
+only the rewritten ones.  A consumer that keeps an item past the next
+one copies it.
 
 ThresholdLevels and ThresholdStructure count their work in a Counters,
 always on; UncountedLevels counts nothing.  search_steps charges each
@@ -113,8 +115,9 @@ class UncountedLevels:
     """Keys-only threshold levels: everything the scan reads and nothing
     that only enumeration needs.  Values go in unchecked: a NaN would
     corrupt the levels, but the comparator feeds only int positions.
-    Their updates count nothing: they serve the scan of a request that
-    prints no counter.  stats is one Counters, shared by every instance,
+    Their two updates, extend and extract_min, count nothing: they serve
+    the scan of a request that prints no counter, and a single value goes
+    in as a run of one.  stats is one Counters, shared by every instance,
     that always reads zero, because a traced benchmark run reads the
     counters of every comparator: it files these zeros under the CLI's
     span, which no benchmark metric reads."""
@@ -136,10 +139,6 @@ class UncountedLevels:
 
     def key_lists(self):
         return [[-x for x in level] for level in self._levels]
-
-    def append(self, value):
-        """Insert value after every current element."""
-        self.extend((value,))
 
     def extend(self, values):
         """Append each value of the sequence in order, as
@@ -216,7 +215,10 @@ class ThresholdLevels(UncountedLevels):
         w, the tail just below level i, decides before any bisect.  w < v
         lands v at level i, w == v collapses it into w's entry, and only
         w > v bisects the tails below w.  search_steps adds the bit length
-        of i all the same, the cost of a bisect below level i."""
+        of i all the same, the cost of a bisect below level i.  values
+        must be sized, as the comparator's match lists are: their length
+        is read before any state changes, so an unsized argument raises
+        TypeError and changes nothing."""
         n = len(values)     # before any state changes: values must be sized
         mins = self._mins
         levels = self._levels
@@ -347,6 +349,7 @@ class ThresholdStructure(ThresholdLevels):
         self._count[value] += 1
 
     def extend(self, values):
+        values = tuple(values)   # any iterable, read once for every use
         if any(v != v for v in values):
             raise ValueError("NaN is not ordered against other values")
         super().extend(values)
@@ -366,8 +369,8 @@ class ThresholdStructure(ThresholdLevels):
         maximal value chain first.  An empty structure raises at the call."""
         if self.size == 0:
             raise ValueError("all_lis on empty structure")
-        return (tuple(zip(values, positions)) for positions, values in
-                enumerate_lis(self._survivor_levels()))
+        return (tuple(zip(values, positions)) for _, positions, values in
+                walk_lis(self._survivor_levels()))
 
     def _survivor_levels(self):
         killed = self._killed
@@ -461,10 +464,3 @@ def walk_lis(levels):
             # the climb ends on the level that takes its next window item
             k += 1
             top = k
-
-
-def enumerate_lis(levels):
-    """Yield every longest strictly increasing subsequence of the levels'
-    history as two new lists, (tags, values), in walk_lis order."""
-    for _, tags, values in walk_lis(levels):
-        yield tags[:], values[:]

@@ -90,7 +90,7 @@ def threshold_stacks(values):
     return lists
 
 
-def enumerate_lis_naive(values):
+def naive_all_lis(values):
     """Every longest strictly increasing subsequence as a set of 1-based
     position tuples.  Exhaustive search; refuses lists longer than 20."""
     if len(values) > ENUMERATION_GUARD:

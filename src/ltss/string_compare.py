@@ -13,7 +13,7 @@ so MatchIndex.levels builds P's positional levels from them; `ltss lcss`,
 which never drops a letter, answers from that one build alone.
 """
 
-from .dynamic_lis import enumerate_lis, positional_levels
+from .dynamic_lis import positional_levels, walk_lis
 
 
 class MatchIndex:
@@ -56,10 +56,6 @@ class Comparator:
     def lcss_length(self):
         return self.ts.lis_length
 
-    @property
-    def p_len(self):
-        return len(self.p_letters)
-
     def append_to_p(self, letter):
         """Extend P with letter: feed its match positions in S, largest
         first, as one decreasing run."""
@@ -87,5 +83,5 @@ class Comparator:
         increasing, s in original S coordinates.  The levels are built on
         the first item, over the live lists."""
         levels = self.index.levels(self.p_letters)
-        for p_positions, s_positions in enumerate_lis(levels):
+        for _, p_positions, s_positions in walk_lis(levels):
             yield list(zip(p_positions, s_positions))

@@ -97,7 +97,7 @@ def _scan(f, counted):
         lambda_max=best_len,
         extract_mins=st.extract_min_calls,
         cascade_steps=st.cascade_steps,
-        transfers=dict(st.transfers_out),
+        transfers=st.transfers_out,
         tree_ops=st.tree_ops(),
         elapsed=elapsed,
     )

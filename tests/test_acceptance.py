@@ -17,7 +17,7 @@ from bisect import bisect_left
 from ltss import cli
 from ltss.dynamic_lis import ThresholdStructure
 from ltss.oracle import (
-    enumerate_lis_naive,
+    naive_all_lis,
     naive_ltss,
     threshold_stacks,
     validate_tandem,
@@ -167,7 +167,7 @@ def test_criterion_6_enumeration_complete():
         values = [rng.randint(1, 8) for _ in range(rng.randint(1, 12))]
         ts = _build(values)
         got = {tuple(p for _, p in seq) for seq in ts.all_lis()}
-        if got != enumerate_lis_naive(values):
+        if got != naive_all_lis(values):
             ok = False
             break
     _report(ok, "criterion 6: enumeration set equals the exhaustive "

@@ -708,7 +708,7 @@ def test_lis_any_integers_match_oracles(capsys):
         assert payload["length"] == oracle.naive_lis(values)
         seqs = [tuple(p for _, p in seq) for seq in payload["sequences"]]
         assert len(seqs) == len(set(seqs))
-        assert set(seqs) == oracle.enumerate_lis_naive(values)
+        assert set(seqs) == oracle.naive_all_lis(values)
         assert all(v == values[p - 1]
                    for seq in payload["sequences"] for v, p in seq)
 
@@ -752,16 +752,23 @@ def test_verify_long_string(capsys, monkeypatch):
     lambda ps, ss: (ps[::-1], ss[::-1]),
     lambda ps, ss: (ps[:-1], ss[:-1]),
     lambda ps, ss: (ps + ps[-1:], ss + ss[-1:]),
-], ids=["reversed", "one-pair-short", "pair-repeated"])
+    lambda ps, ss: (ps, [j + 1 for j in ss]),
+    lambda ps, ss: (ps, ss[:-1] + [len("AACGGGTA") + 1]),
+    lambda ps, ss: ([0] + ps[1:], ss),
+], ids=["reversed", "one-pair-short", "pair-repeated", "s-shifted",
+        "s-past-end", "p-zero"])
 def test_lcss_verify_checks_whole_witness(broken, capsys, monkeypatch):
-    # each broken witness still pairs equal letters only
-    real = cli.enumerate_lis
+    # the first three broken witnesses pair equal letters only, so the
+    # order and length checks must catch them; the last three keep both
+    # coordinates increasing and the length right, so the letter and
+    # range checks must
+    real = cli.walk_lis
 
-    def enumerate_lis(levels):
-        for p_positions, s_positions in real(levels):
-            yield broken(p_positions, s_positions)
+    def walk_lis(levels):
+        for rewritten, tags, values in real(levels):
+            yield (rewritten, *broken(tags, values))
 
-    monkeypatch.setattr(cli, "enumerate_lis", enumerate_lis)
+    monkeypatch.setattr(cli, "walk_lis", walk_lis)
     assert cli.main(["lcss", "--verify", "AGCG", "AACGGGTA"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

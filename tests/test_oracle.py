@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.oracle import (bitparallel_ltss, dp_lcss, enumerate_lis_naive,
-                         lcss_length, naive_lis, naive_ltss, patience_lis,
+from ltss.oracle import (bitparallel_ltss, dp_lcss, lcss_length,
+                         naive_all_lis, naive_lis, naive_ltss, patience_lis,
                          split_lengths, threshold_stacks, validate_tandem)
 from ltss.tandem import LtssResult
 
@@ -57,18 +57,18 @@ def test_threshold_stacks_golden():
     assert threshold_stacks([]) == []
 
 
-def test_enumerate_lis_naive_hand_cases():
-    assert enumerate_lis_naive([]) == set()
-    assert enumerate_lis_naive([1]) == {(1,)}
-    assert enumerate_lis_naive([3, 3, 3]) == {(1,), (2,), (3,)}
-    assert enumerate_lis_naive([2, 1]) == {(1,), (2,)}
-    assert enumerate_lis_naive([1, 2]) == {(1, 2)}
-    assert len(enumerate_lis_naive([8, 2, 6, 5, 4, 3, 6, 5, 4, 8, 2])) == 6
+def test_naive_all_lis_hand_cases():
+    assert naive_all_lis([]) == set()
+    assert naive_all_lis([1]) == {(1,)}
+    assert naive_all_lis([3, 3, 3]) == {(1,), (2,), (3,)}
+    assert naive_all_lis([2, 1]) == {(1,), (2,)}
+    assert naive_all_lis([1, 2]) == {(1, 2)}
+    assert len(naive_all_lis([8, 2, 6, 5, 4, 3, 6, 5, 4, 8, 2])) == 6
 
 
-def test_enumerate_lis_naive_guard():
+def test_naive_all_lis_guard():
     with pytest.raises(ValueError):
-        enumerate_lis_naive([1] * 21)
+        naive_all_lis([1] * 21)
 
 
 def test_naive_ltss_examples():

@@ -57,7 +57,7 @@ def test_library_walks_take_no_options():
                              inspect.signature(fn).parameters.values()
                              if p.default is not inspect.Parameter.empty]
     assert {"ThresholdStructure.all_lis", "Comparator.witnesses",
-            "enumerate_lis", "compute_ltss"} <= checked.keys()
+            "walk_lis", "compute_ltss"} <= checked.keys()
     assert {name: found for name, found in checked.items() if found} == {}
 
 
@@ -69,6 +69,22 @@ def test_acceptance_runner_lists_every_criterion():
                       key=lambda fn: fn.__code__.co_firstlineno)
     assert len(criteria) == 9
     assert test_acceptance.ALL == criteria
+
+
+def test_acceptance_runner_verdict(capsys, monkeypatch):
+    # the standalone runner exits 1 on any failed criterion, 0 only when
+    # every one passes, and says how many passed
+    def passing():
+        test_acceptance._report(True, "passing")
+
+    def failing():
+        test_acceptance._report(False, "failing")
+
+    for checks, code, tally in (([passing, failing], 1, "1/2"),
+                                ([passing, passing], 0, "2/2")):
+        monkeypatch.setattr(test_acceptance, "ALL", checks)
+        assert test_acceptance.main() == code
+        assert "%s criteria passed" % tally in capsys.readouterr().out
 
 
 def readme_block(lang):

@@ -62,7 +62,7 @@ def test_append_skips_consumed_positions():
 def test_missing_letter_is_a_noop():
     comp = Comparator(S_GOLDEN, ThresholdLevels())
     comp.append_to_p("X")
-    assert comp.p_len == 1
+    assert len(comp.p_letters) == 1
     assert comp.lcss_length == 0
 
 

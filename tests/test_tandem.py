@@ -264,7 +264,7 @@ def test_replay_split_reaches_scan_state():
     comp = replay_split(GOLDEN, 5)
     assert comp.lcss_length == 4
     assert comp.front == 5
-    assert comp.p_len == 5
+    assert len(comp.p_letters) == 5
 
 
 def scan_replay(f, split):
@@ -290,7 +290,8 @@ def as_tandem(f, pairs):
 def check_replay(f, split, limit):
     comp = replay_split(f, split)
     ref = scan_replay(f, split)
-    assert (comp.front, comp.p_len) == (ref.front, ref.p_len) == (split, split)
+    assert (comp.front, len(comp.p_letters)) == \
+        (ref.front, len(ref.p_letters)) == (split, split)
     assert comp.lcss_length == ref.lcss_length
     expected = witness_list(ref, limit)
     assert witness_list(comp, limit) == expected
@@ -400,7 +401,8 @@ def test_split_out_of_range_is_rejected(monkeypatch):
     # both ends stay in range: an empty prefix and an empty suffix
     for split in (0, 4):
         comp = replay_split("ABAB", split)
-        assert (comp.front, comp.p_len, comp.lcss_length) == (split, split, 0)
+        assert (comp.front, len(comp.p_letters), comp.lcss_length) == \
+            (split, split, 0)
     assert list(split_tandems("ABAB", 2)) == [("AB", [1, 2], [3, 4])]
     # only the two direct replay_split calls build a comparator
     assert built == ["ABAB"] * 2
