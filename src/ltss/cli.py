@@ -40,7 +40,8 @@ class InputError(Exception):
 def parse_input(text, fasta=False):
     """Extract the subject string from raw text or single-record FASTA.
     Raw text drops one trailing `\n`, `\r\n` or `\r`; FASTA lines may end
-    in any of the three."""
+    in any of the three, and a FASTA body is uppercased letter for letter,
+    so a letter whose uppercase is longer, such as `ß`, is refused."""
     if fasta:
         lines = text.splitlines()
         if not lines or not lines[0].startswith(">"):
@@ -53,10 +54,15 @@ def parse_input(text, fasta=False):
             if any(ch.isspace() for ch in line):
                 raise InputError("whitespace inside FASTA sequence line")
             body.append(line)
-        seq = "".join(body).upper()
+        seq = "".join(body)
+        upper = seq.upper()
+        if len(upper) != len(seq):
+            letter = next(ch for ch in seq if len(ch.upper()) != 1)
+            raise InputError("FASTA letter %r uppercases to %r, not one letter"
+                             % (letter, letter.upper()))
         if not seq:
             raise InputError("empty FASTA body")
-        return seq
+        return upper
     text = text.removesuffix("\n").removesuffix("\r")
     if any(ch.isspace() for ch in text):
         raise InputError("raw input must be a single string without whitespace")

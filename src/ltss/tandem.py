@@ -12,12 +12,14 @@ ThresholdLevels counts the scan's work into a RunStats, and that scan
 steps every split.  UncountedLevels counts nothing and gives none, and
 its scan steps only the splits that can still win.  L(t) is at most B(t),
 the sum over letters of the lesser of their counts on each side, and it
-moves by at most 1 per step.  So the scan starts at the first split whose
-B reaches one exact length, the bit-vector LCS at B's earliest maximum,
-and stops once no later split can beat the best length so far within
-either bound.  Splits outside that window can neither win nor tie, so the
-length and split, which still come from the levels, are those of a full
-scan.
+moves by at most 1 per step.  F, the exact L at B's earliest maximum,
+floors the answer, and for t >= a, L(t) <= LCS(f[:t], f[a:]), which one
+bit-vector pass anchored at a gives.  Chains of such passes, each
+skipping at most F splits and run only while those splits outweigh it,
+narrow the window from both ends to the splits whose bounds reach F, and
+the scan stops sooner once no later split can beat the best length so
+far.  Splits outside that window can neither win nor tie, so the length
+and split, which still come from the levels, are those of a full scan.
 """
 
 import time
@@ -28,6 +30,10 @@ from operator import itemgetter
 
 from .dynamic_lis import INF, ThresholdLevels, UncountedLevels, walk_lis
 from .string_compare import Comparator, MatchIndex
+
+# an anchored pass costs about as much as the scan stepping over this many
+# times n live matches (measured on CPython 3.11)
+_PASS_COST = 64
 
 
 @dataclass
@@ -84,7 +90,8 @@ def _scan(f, counted):
             best_len = lam
             best_split = t
         # a later split t' wins only if L(t') > best_len, yet L(t') is at
-        # most B(t') and at most lam + t' - t
+        # most lam + t' - t, and B(t') up to the window's end; past it,
+        # below the floor, which best_len reaches before the break looks
         if reach[min(t + 1 + best_len - lam, n)] <= best_len:
             break
     elapsed = time.perf_counter() - start
@@ -103,37 +110,68 @@ def _scan(f, counted):
     )
 
 def _window(f):
-    """(first, reach): the first split an uncounted scan steps, and
-    reach[t], the largest letter-count bound B(t') over t <= t' <= n.
-    Every split before first has L(t) <= B(t) < L(t*) for B's earliest
-    maximum t*, so it can neither win nor tie."""
+    """(first, reach) of an uncounted scan's window [first, last]:
+    reach[t] is the largest letter-count bound B(t') over t <= t' <= last,
+    and 0 past last.  A split whose L falls below F = L(t*), for B's
+    earliest maximum t*, can neither win nor tie.  _carve gives first, and
+    last from the reversed string, whose split a is split n - a here; its
+    passes skip at most F splits each and run while the live matches they
+    may skip outweigh them."""
+    n = len(f)
+    counts = Counter(f)
     # a letter's slack is its count less one, less twice its copies left
     # of the split: one more copy crossing left raises its term in B while
     # the slack is positive and lowers it while the slack is negative
-    slack = {letter: count - 1 for letter, count in Counter(f).items()}
+    slack = {letter: count - 1 for letter, count in counts.items()}
     bounds = [0]
     for letter in f:
         s = slack[letter]
         slack[letter] = s - 2
         bounds.append(bounds[-1] + (s > 0) - (s < 0))
+    floor = next(_anchored_lengths(f, bounds.index(max(bounds))))
+    # the step at split t works on about t (n - t) S / n^2 live matches, S
+    # the sum of squared letter counts; a pass costs about _PASS_COST n
+    limit = _PASS_COST * n ** 3 // max(1, sum(c * c for c in counts.values()))
+    first = _carve(f, bounds, floor, limit)
+    last = n - _carve(f[::-1], bounds[::-1], floor, limit)
+    bounds[last + 1:] = [0] * (n - last)
     reach = list(accumulate(reversed(bounds), max))[::-1]
-    floor = _split_length(f, bounds.index(reach[0]))
-    first = next(t for t, bound in enumerate(bounds) if bound >= floor)
     return max(first, 1), reach
 
-def _split_length(f, split):
-    """L(split), the common-subsequence length of f[:split] against
-    f[split:], from the Allison-Dix / Hyyro bit-vector LCS on Python
-    ints: bit j of row is cleared where the DP row steps up at suffix
-    column j + 1."""
+def _carve(f, bounds, floor, limit):
+    """The first split a with B(a) >= floor that the anchored passes keep.
+    For t >= a, L(t) <= LCS(f[:t], f[a:]), as f[t:] is a suffix of f[a:],
+    and the next pass anchors where B and that bound both reach floor.
+    LCS(f[:t], f[a:]) >= t - a, so a pass skips at most floor splits, and
+    fewer as the chain closes in: one runs only while k a (n - a) > limit,
+    for k the splits the last one skipped (floor at first)."""
+    a = next(t for t, bound in enumerate(bounds) if bound >= floor)
+    skipped = floor
+    while skipped * a * (len(f) - a) > limit:
+        for t, length in enumerate(_anchored_lengths(f, a), a):
+            if length >= floor and bounds[t] >= floor:
+                break
+        if t == a:
+            break
+        a, skipped = t, t - a
+    return a
+
+def _anchored_lengths(f, anchor):
+    """Yield LCS(f[:t], f[anchor:]) for t = anchor, ..., n: L(anchor)
+    first, then a bound on each later L(t).  One Allison-Dix / Hyyro
+    bit-vector LCS pass on Python ints: bit j of row is cleared where the
+    DP row steps up at column j + 1 of f[anchor:]."""
     masks = {}
-    for j, letter in enumerate(f[split:]):
+    for j, letter in enumerate(f[anchor:]):
         masks[letter] = masks.get(letter, 0) | 1 << j
-    row = full = (1 << (len(f) - split)) - 1
-    for letter in f[:split]:
+    width = len(f) - anchor
+    row = full = (1 << width) - 1
+    for t, letter in enumerate(f):
+        if t >= anchor:
+            yield width - row.bit_count()
         hits = row & masks.get(letter, 0)
         row = ((row + hits) | (row - hits)) & full
-    return len(f) - split - row.bit_count()
+    yield width - row.bit_count()
 
 def _append_to_split(comp, f, split):
     """Bring comp, fresh over f, to f[:split] against f[split:] by

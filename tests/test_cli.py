@@ -59,6 +59,7 @@ def test_parse_raw_rejects_whitespace(text):
 def test_parse_fasta():
     assert cli.parse_input(">seq1 desc\nACGT\nacg\n", fasta=True) == "ACGTACG"
     assert cli.parse_input(">x\nAC\n", fasta=True) == "AC"
+    assert cli.parse_input(">x\näÄb\n", fasta=True) == "ÄÄB"
 
 
 @pytest.mark.parametrize("text", [
@@ -71,6 +72,24 @@ def test_parse_fasta():
 def test_parse_fasta_rejects(text):
     with pytest.raises(cli.InputError):
         cli.parse_input(text, fasta=True)
+
+
+@pytest.mark.parametrize("letter", ["ß", "ﬁ", "ŉ"])
+def test_fasta_letter_with_longer_uppercase_exits_2(letter, capsys,
+                                                    monkeypatch):
+    # uppercasing it would lengthen the string, and the occurrence
+    # positions would no longer name the record's letters
+    assert len(letter.upper()) > 1
+    for mode in ([], ["--length-only"], ["--format", "json"]):
+        assert run_cli(["ltss", "--fasta"] + mode, ">x\n%sa%s\n"
+                       % (letter, letter), monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: FASTA letter %r uppercases to %r, " \
+            "not one letter\n" % (letter, letter.upper())
+    # raw input is never uppercased, so the letter is one letter there
+    assert run_cli(["ltss"], "%sa%s\n" % (letter, letter), monkeypatch) == 0
+    assert "occ2=3" in capsys.readouterr().out
 
 
 # ------------------------------------------------- documented invocations

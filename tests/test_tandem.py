@@ -4,6 +4,7 @@ the bit-parallel oracle at thousands of letters, witness recovery against
 the scan's own interleaving, the input contract, and stats."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from ltss import string_compare, tandem
 from ltss.dynamic_lis import ThresholdLevels, UncountedLevels
-from ltss.oracle import (bitparallel_ltss, naive_ltss, split_lengths,
+from ltss.oracle import (bitparallel_ltss, dp_lcss, naive_ltss, split_lengths,
                          validate_tandem)
 from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
@@ -102,6 +103,22 @@ def large_shapes():
     ]
 
 
+def thousands_of_letters():
+    """2000 letters at sigma 2, 4 and 20, then 3000 at sigma 4."""
+    rng = random.Random(53)
+    strings = [uniform(rng, 2000, alphabet) for alphabet in
+               ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")]
+    strings.append(uniform(rng, 3000, "ACGT"))
+    return strings
+
+
+@functools.cache
+def cached_split_lengths(f):
+    """split_lengths(f), computed once per string for the tests that share
+    it; no caller changes the list."""
+    return split_lengths(f)
+
+
 def test_large_strings_against_bitparallel_oracle():
     for f in large_shapes():
         res = compute_ltss(f)
@@ -128,7 +145,7 @@ def test_uncounted_scan_answers_as_counted_on_shapes():
     strings = [uniform(rng, rng.randint(1, 300), alphabet)
                for alphabet in ("A", "AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")
                for _ in range(15)]
-    strings += large_shapes() + list(benchmark_shapes().values())
+    # the large and benchmark shapes are in test_window_is_sound_at_scale
     for f in strings:
         assert same_scan_answer(f), f
     # any hashable sequence: a list of ints
@@ -138,31 +155,73 @@ def test_uncounted_scan_answers_as_counted_on_shapes():
 
 
 def test_split_length_matches_oracle_at_every_split():
+    # a pass anchored at a yields LCS(f[:t], f[a:]) for t = a, ..., n; row
+    # t of dp_lcss(f, f[a:]) ends in that length, as lcss_length(f[:t],
+    # f[a:]) reads it, so one table per anchor covers every t; its first
+    # value, at t = a, is the split length L(a)
     rng = random.Random(67)
     strings = ["", "A", "Z", "ABCDEFG", "GFEDCBA"] + [
         uniform(rng, rng.randint(0, 60),
                 rng.choice(("AB", "ACGT", "ABCDEFGH")))
         for _ in range(60)]
+    strings.append([rng.randint(1, 5) for _ in range(40)])
     for f in strings:
-        assert [tandem._split_length(f, t) for t in range(len(f) + 1)] == \
-            split_lengths(f), f
+        n = len(f)
+        for a in range(n + 1):
+            table = dp_lcss(f, f[a:])
+            assert list(tandem._anchored_lengths(f, a)) == \
+                [table[t][-1] for t in range(a, n + 1)], (f, a)
+        assert [next(tandem._anchored_lengths(f, t))
+                for t in range(n + 1)] == split_lengths(f), f
 
 
-def window_reference(f):
+def carve_reference(f, bounds, floor):
+    """The first split a with B(a) >= floor that the chain of anchored
+    passes keeps, with the anchored bound LCS(f[:t], f[a:]) read off the
+    DP oracle's table: a pass anchored at a ends at the first t >= a
+    where that bound and B(t) both reach floor, and the next pass runs
+    while k a (n - a) exceeds 64 n^3 over the sum of squared letter
+    counts, k being the splits the last pass skipped (floor at first)."""
+    n = len(f)
+    squares = sum(c * c for c in Counter(f).values())
+    limit = tandem._PASS_COST * n ** 3 // max(1, squares)
+    a = next(t for t in range(n + 1) if bounds[t] >= floor)
+    skipped = floor
+    while skipped * a * (n - a) > limit:
+        anchored = [row[-1] for row in dp_lcss(f, f[a:])]
+        t = next(t for t in range(a, n + 1)
+                 if anchored[t] >= floor and bounds[t] >= floor)
+        if t == a:
+            break
+        a, skipped = t, t - a
+    return a
+
+
+def window_reference(f, carved):
     """(first, stop, reach) of the uncounted scan's window on at least two
     letters, from the definitions: B(t) from each side's letter counts,
-    L(t) from the bit-parallel oracle.  It starts at the first B(t) that
-    reaches L at B's earliest maximum, and stops at the first split
-    after which no later split u can beat the best length so far, either
-    because B(u) <= best or because L(t) + u - t <= best.  reach[t] is
-    the largest B(u) over u >= t."""
+    L(t) from the bit-parallel oracle.  The floor F is L at B's earliest
+    maximum.  Uncarved, the window is the letter-count one: it starts at
+    the first B(t) >= F, and B' is B.  Carved, it starts at
+    carve_reference's split and ends at the split carve_reference keeps
+    on the reversed string, split t being split n - t there, and B' is B
+    up to that last split and 0 after it.  The window stops at the first
+    split after which no later split u can beat the best length so far,
+    either because B'(u) <= best or because L(t) + u - t <= best.
+    reach[t] is the largest B'(u) over u >= t."""
     n = len(f)
     bounds = [sum((Counter(f[:t]) & Counter(f[t:])).values())
               for t in range(n + 1)]
-    reach = [max(bounds[t:]) for t in range(n + 1)]
     lengths = split_lengths(f)
     floor = lengths[bounds.index(max(bounds))]
-    first = next(t for t in range(1, n) if bounds[t] >= floor)
+    if carved:
+        first = carve_reference(f, bounds, floor)
+        last = n - carve_reference(f[::-1], bounds[::-1], floor)
+        bounds = [bound if t <= last else 0 for t, bound in enumerate(bounds)]
+    else:
+        first = next(t for t in range(n + 1) if bounds[t] >= floor)
+    first = max(first, 1)
+    reach = [max(bounds[t:]) for t in range(n + 1)]
     best = 0
     for t in range(first, n):
         best = max(best, lengths[t])
@@ -174,11 +233,15 @@ def window_reference(f):
 
 def test_window_matches_its_definition():
     rng = random.Random(73)
+    carved = 0
     for _ in range(200):
         f = uniform(rng, rng.randint(2, 50),
                     rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
-        first, _, reach = window_reference(f)
+        first, stop, reach = window_reference(f, True)
         assert tandem._window(f) == (first, reach), f
+        carved += (first, stop) != window_reference(f, False)[:2]
+    # the passes narrow 13 of these windows
+    assert carved >= 10
 
 
 def test_uncounted_scan_steps_only_the_window(monkeypatch):
@@ -187,8 +250,11 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
     # steps every split
     f = uniform(random.Random(71), 600, "ACGT")
     n = len(f)
-    first, stop, _ = window_reference(f)
-    assert 1 < first < stop < n - 1
+    first, stop, _ = window_reference(f, True)
+    # the anchored passes move both ends of the letter-count window in
+    b_first, b_stop, _ = window_reference(f, False)
+    assert (b_first, b_stop) == (194, 383)
+    assert b_first < first < stop < b_stop
     events = []
     real_drop = Comparator.drop_front_of_s
     real_append = Comparator.append_to_p
@@ -228,18 +294,49 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
     assert first_extract < first
 
 
+def test_window_is_sound_at_scale():
+    # every split outside the carved window has L(t) < F, the floor the
+    # passes carve to, so none can win or tie; and the uncounted scan, the
+    # counted scan and the bit-parallel oracle agree on (length, split)
+    # sigma 2, 4 and 20 at n = 2000 are the strings whose every split
+    # length test_every_split_length_at_thousands_of_letters checks
+    rng = random.Random(83)
+    strings = thousands_of_letters()[:3] + [
+        uniform(rng, n, "".join(map(chr, range(0x100, 0x100 + sigma))))
+        for sigma in (2, 4, 20, 64, 256) for n in (1000, 2000)
+        if n == 1000 or sigma > 20]
+    strings += large_shapes() + list(benchmark_shapes().values())
+    for f in strings:
+        n = len(f)
+        lengths = cached_split_lengths(f)
+        best = max(lengths)
+        # bitparallel_ltss(f) is the earliest longest of split_lengths(f)
+        answer = best, lengths.index(best)
+        left, right = Counter(), Counter(f)
+        bounds = []
+        for letter in f:
+            bounds.append(sum((left & right).values()))
+            left[letter] += 1
+            right[letter] -= 1
+        bounds.append(0)
+        floor = lengths[bounds.index(max(bounds))]
+        first, reach = tandem._window(f)
+        last = max(t for t in range(n + 1) if reach[t])
+        assert 0 < floor and first <= last
+        assert all(lengths[t] < floor for t in itertools.chain(
+            range(first), range(last + 1, n + 1))), n
+        assert tandem._scan(f, counted=False)[:2] == answer
+        assert tandem._scan(f, counted=True)[:2] == answer
+
+
 def test_every_split_length_at_thousands_of_letters():
     # a comparator, stepped as _scan steps its own, holds the
     # common-subsequence length of every split, not just the best one; it
     # steps UncountedLevels alone, which
     # test_uncounted_levels_lockstep_with_counted holds to ThresholdLevels
     # key-for-key after every operation
-    rng = random.Random(53)
-    strings = [uniform(rng, 2000, alphabet) for alphabet in
-               ("AB", "ACGT", "ACDEFGHIKLMNPQRSTVWY")]
-    strings.append(uniform(rng, 3000, "ACGT"))
-    for f in strings + large_shapes():
-        expected = split_lengths(f)
+    for f in thousands_of_letters() + large_shapes():
+        expected = cached_split_lengths(f)
         comp = Comparator(f, UncountedLevels())
         got = [comp.lcss_length]
         for letter in f:

@@ -1,7 +1,9 @@
-"""tools/ab_pairs.py driven with a stubbed benchmark run."""
+"""tools/ab_pairs.py driven with a stubbed benchmark run, and a smoke run
+of tools/scan_sweep.py on a tiny grid."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,37 @@ SPREAD = [0.9, 0.95, 0.97, 0.99, 1.0, 1.0, 1.01, 1.03, 1.05, 1.1]
         "within-spread", "worse", "worse-higher", "within-bound"])
 def test_verdict_follows_the_pair_rule(base, change, better, expected):
     assert load_ab_pairs().verdict(base, change, better, 0.25) == expected
+
+
+def load_scan_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "scan_sweep", TOOLS / "scan_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_sweep_smoke(tmp_path, monkeypatch, capsys):
+    # a tiny grid, one round: the checkout against itself agrees on every
+    # row, and against a copy whose scan reports the split after the
+    # winning one it disagrees and exits 1
+    scan_sweep = load_scan_sweep()
+    monkeypatch.setattr(scan_sweep, "GRID", [(2, 40), (4, 60)])
+    monkeypatch.setattr(scan_sweep, "TARGET_S", 0.001)
+    root = TOOLS.parent
+    assert scan_sweep.main([str(root), str(root), "--rounds", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split() == ["sigma", "n", "first", "stop", "ratio", "won",
+                               "reps", "agree"]
+    assert [row.split()[:2] + row.split()[-1:] for row in rows[1:]] == \
+        [["2", "40", "yes"], ["4", "60", "yes"]]
+    broken = tmp_path / "src" / "ltss"
+    shutil.copytree(root / "src" / "ltss", broken,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (broken / "tandem.py").read_text()
+    assert source.count("best_split = t\n") == 1
+    (broken / "tandem.py").write_text(
+        source.replace("best_split = t\n", "best_split = t + 1\n"))
+    assert scan_sweep.main([str(root), str(tmp_path), "--rounds", "1"]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert all(" NO " in row for row in rows)
