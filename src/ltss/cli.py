@@ -40,11 +40,12 @@ class InputError(Exception):
 def parse_input(text, fasta=False):
     """Extract the subject string from raw text or single-record FASTA.
     Raw text drops one trailing `\n`, `\r\n` or `\r`; FASTA lines may end
-    in any of the three, and a FASTA body is uppercased letter for letter,
-    so a letter whose uppercase is longer, such as `ß`, is refused."""
+    in any of the three and break nowhere else, and a FASTA body is
+    uppercased letter for letter, so a letter whose uppercase is longer,
+    such as `ß`, is refused."""
     if fasta:
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith(">"):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[0].startswith(">"):
             raise InputError("FASTA input must start with a '>' header line")
         body = []
         for line in lines[1:]:

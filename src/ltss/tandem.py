@@ -16,19 +16,18 @@ moves by at most 1 per step.  F, the exact L at B's earliest maximum,
 floors the answer, and for t >= a, L(t) <= LCS(f[:t], f[a:]), which one
 bit-vector pass anchored at a gives.  Chains of such passes, each
 skipping at most F splits and run only while those splits outweigh it,
-narrow the window from both ends to the splits whose bounds reach F, and
-the scan stops sooner once no later split can beat the best length so
-far.  Splits outside that window can neither win nor tie, so the length
-and split, which still come from the levels, are those of a full scan.
+narrow the window from both ends to the splits whose bounds reach F.
+Splits outside that window can neither win nor tie, so the length and
+split, which still come from the levels, are those of a full scan.
 """
 
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 
-from .dynamic_lis import INF, ThresholdLevels, UncountedLevels, walk_lis
+from .dynamic_lis import ThresholdLevels, UncountedLevels, walk_lis
 from .string_compare import Comparator, MatchIndex
 
 # an anchored pass costs about as much as the scan stepping over this many
@@ -67,20 +66,18 @@ class RunStats:
 def _scan(f, counted):
     """Run the split scan and return (best_len, best_split, RunStats).
     Its comparator drives ThresholdLevels if counted, and steps every
-    split, as no reach stops it.  Else it drives UncountedLevels, steps
-    only the window of splits that can still win, from _window(f) to
-    the break, and the RunStats is None."""
+    split.  Else it drives UncountedLevels, steps only the window
+    _window(f) of splits that can still win, and the RunStats is None."""
     start = time.perf_counter()
-    n = len(f)
     ts = ThresholdLevels() if counted else UncountedLevels()
     comp = Comparator(f, ts)
-    first, reach = (1, [INF] * (n + 1)) if counted else _window(f)
+    first, last = (1, len(f) - 1) if counted else _window(f)
     _append_to_split(comp, f, first - 1)
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
     best_split = 0
-    for t in range(first, n):
+    for t in range(first, last + 1):
         drop()
         append_to_p(f[t - 1])
         lam = ts.lis_length
@@ -89,11 +86,6 @@ def _scan(f, counted):
         if lam > best_len:
             best_len = lam
             best_split = t
-        # a later split t' wins only if L(t') > best_len, yet L(t') is at
-        # most lam + t' - t, and B(t') up to the window's end; past it,
-        # below the floor, which best_len reaches before the break looks
-        if reach[min(t + 1 + best_len - lam, n)] <= best_len:
-            break
     elapsed = time.perf_counter() - start
     if not counted:
         return best_len, best_split, None
@@ -110,11 +102,10 @@ def _scan(f, counted):
     )
 
 def _window(f):
-    """(first, reach) of an uncounted scan's window [first, last]:
-    reach[t] is the largest letter-count bound B(t') over t <= t' <= last,
-    and 0 past last.  A split whose L falls below F = L(t*), for B's
-    earliest maximum t*, can neither win nor tie.  _carve gives first, and
-    last from the reversed string, whose split a is split n - a here; its
+    """(first, last) of an uncounted scan's window of splits, within
+    [1, n - 1].  A split whose L falls below F = L(t*), for B's earliest
+    maximum t*, can neither win nor tie.  _carve gives first, and last
+    from the reversed string, whose split a is split n - a here; its
     passes skip at most F splits each and run while the live matches they
     may skip outweigh them."""
     n = len(f)
@@ -134,9 +125,8 @@ def _window(f):
     limit = _PASS_COST * n ** 3 // max(1, sum(c * c for c in counts.values()))
     first = _carve(f, bounds, floor, limit)
     last = n - _carve(f[::-1], bounds[::-1], floor, limit)
-    bounds[last + 1:] = [0] * (n - last)
-    reach = list(accumulate(reversed(bounds), max))[::-1]
-    return max(first, 1), reach
+    # with no repeated letter the floor is 0 and the carve keeps 0 and n
+    return max(first, 1), min(last, n - 1)
 
 def _carve(f, bounds, floor, limit):
     """The first split a with B(a) >= floor that the anchored passes keep.

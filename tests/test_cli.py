@@ -60,6 +60,7 @@ def test_parse_fasta():
     assert cli.parse_input(">seq1 desc\nACGT\nacg\n", fasta=True) == "ACGTACG"
     assert cli.parse_input(">x\nAC\n", fasta=True) == "AC"
     assert cli.parse_input(">x\näÄb\n", fasta=True) == "ÄÄB"
+    assert cli.parse_input(">x\rAC\rgt\r", fasta=True) == "ACGT"
 
 
 @pytest.mark.parametrize("text", [
@@ -68,6 +69,13 @@ def test_parse_fasta():
     ">a\nAC\n>b\nGT\n",          # multi-record
     ">a\nAC GT\n",               # interior whitespace
     ">a\n\n",                    # empty body
+    # only \n, \r\n and \r end a line: other line boundaries are
+    # whitespace inside a body line, or part of the header
+    ">x\nACGT\x0bACGT\n",
+    ">x\nACGT\x0cACGT\n",
+    ">x\nACGT\x85ACGT\n",
+    ">x\nACGT\u2028ACGT\n",
+    ">rec\x0cGATTACAGATTACA\n",
 ])
 def test_parse_fasta_rejects(text):
     with pytest.raises(cli.InputError):

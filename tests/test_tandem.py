@@ -198,37 +198,24 @@ def carve_reference(f, bounds, floor):
 
 
 def window_reference(f, carved):
-    """(first, stop, reach) of the uncounted scan's window on at least two
+    """(first, last) of the uncounted scan's window on at least two
     letters, from the definitions: B(t) from each side's letter counts,
     L(t) from the bit-parallel oracle.  The floor F is L at B's earliest
-    maximum.  Uncarved, the window is the letter-count one: it starts at
-    the first B(t) >= F, and B' is B.  Carved, it starts at
+    maximum.  Uncarved, the window is the letter-count one, from the
+    first to the last split whose B(t) >= F.  Carved, it starts at
     carve_reference's split and ends at the split carve_reference keeps
-    on the reversed string, split t being split n - t there, and B' is B
-    up to that last split and 0 after it.  The window stops at the first
-    split after which no later split u can beat the best length so far,
-    either because B'(u) <= best or because L(t) + u - t <= best.
-    reach[t] is the largest B'(u) over u >= t."""
+    on the reversed string, split t being split n - t there."""
     n = len(f)
     bounds = [sum((Counter(f[:t]) & Counter(f[t:])).values())
               for t in range(n + 1)]
-    lengths = split_lengths(f)
-    floor = lengths[bounds.index(max(bounds))]
+    floor = split_lengths(f)[bounds.index(max(bounds))]
     if carved:
         first = carve_reference(f, bounds, floor)
         last = n - carve_reference(f[::-1], bounds[::-1], floor)
-        bounds = [bound if t <= last else 0 for t, bound in enumerate(bounds)]
     else:
         first = next(t for t in range(n + 1) if bounds[t] >= floor)
-    first = max(first, 1)
-    reach = [max(bounds[t:]) for t in range(n + 1)]
-    best = 0
-    for t in range(first, n):
-        best = max(best, lengths[t])
-        if all(bounds[u] <= best or lengths[t] + u - t <= best
-               for u in range(t + 1, n)):
-            return first, t, reach
-    return first, n - 1, reach
+        last = max(t for t in range(n + 1) if bounds[t] >= floor)
+    return max(first, 1), min(last, n - 1)
 
 
 def test_window_matches_its_definition():
@@ -237,24 +224,28 @@ def test_window_matches_its_definition():
     for _ in range(200):
         f = uniform(rng, rng.randint(2, 50),
                     rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
-        first, stop, reach = window_reference(f, True)
-        assert tandem._window(f) == (first, reach), f
-        carved += (first, stop) != window_reference(f, False)[:2]
-    # the passes narrow 13 of these windows
+        window = window_reference(f, True)
+        assert tandem._window(f) == window, f
+        carved += window != window_reference(f, False)
+    # the passes narrow 14 of these windows
     assert carved >= 10
+    # with no repeated letter the floor is 0, and the clamps give the
+    # full scan's [1, n - 1]
+    assert tandem._window("ABCDEFG") == window_reference("ABCDEFG", True) \
+        == (1, 6)
 
 
 def test_uncounted_scan_steps_only_the_window(monkeypatch):
     # the uncounted scan reaches split first - 1 by drops and appends alone,
-    # with no extract, then steps up to the window's stop; the counted scan
-    # steps every split
+    # with no extract, then steps up to the window's last split; the
+    # counted scan steps every split
     f = uniform(random.Random(71), 600, "ACGT")
     n = len(f)
-    first, stop, _ = window_reference(f, True)
+    first, last = window_reference(f, True)
     # the anchored passes move both ends of the letter-count window in
-    b_first, b_stop, _ = window_reference(f, False)
-    assert (b_first, b_stop) == (194, 383)
-    assert b_first < first < stop < b_stop
+    b_first, b_last = window_reference(f, False)
+    assert (b_first, b_last) == (194, 406)
+    assert b_first < first < last < b_last
     events = []
     real_drop = Comparator.drop_front_of_s
     real_append = Comparator.append_to_p
@@ -285,7 +276,7 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
 
     answer, drops, skipped, first_extract = scan(False)
     assert answer == bitparallel_ltss(f)
-    assert (skipped, drops) == (first - 1, stop)
+    assert (skipped, drops) == (first - 1, last)
     assert first_extract >= first
     answer, drops, skipped, first_extract = scan(True)
     assert answer == bitparallel_ltss(f)
@@ -320,8 +311,7 @@ def test_window_is_sound_at_scale():
             right[letter] -= 1
         bounds.append(0)
         floor = lengths[bounds.index(max(bounds))]
-        first, reach = tandem._window(f)
-        last = max(t for t in range(n + 1) if reach[t])
+        first, last = tandem._window(f)
         assert 0 < floor and first <= last
         assert all(lengths[t] < floor for t in itertools.chain(
             range(first), range(last + 1, n + 1))), n

@@ -4,6 +4,7 @@ of tools/scan_sweep.py on a tiny grid."""
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,38 @@ def test_exit_status_counts_every_failed_run(broken, status, tmp_path,
         row = [line.split() for line in out.splitlines()
                if line.startswith("solve_s.p50    change")]
         assert row[0][-4:] == ["1", "of", "2", "unresolved"]
+
+
+def test_run_that_ends_in_no_json_is_unfinished(tmp_path, monkeypatch,
+                                                 capsys):
+    # run.py exits 0 in every run, but the third run's last stdout line is
+    # not JSON: that run counts as unfinished and the report still prints
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "solve_s.p50", "better": "lower",
+                         "bound": 0.25}]}))
+    ab_pairs = load_ab_pairs()
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append(cwd)
+        stdout = ("not json\n" if len(calls) == 3
+                  else "progress\n" + json.dumps(run(1.0)) + "\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    argv = [str(tmp_path), str(tmp_path), "--workload", "enumerate",
+            "--seed", "0", "--pairs", "2", "--seconds", "1"]
+    assert ab_pairs.main(argv) == 1
+    assert len(calls) == 4
+    captured = capsys.readouterr()
+    assert "\nnot json\n" in captured.err
+    # pair 2 runs change first, so the third run is change's
+    assert "change: failed requests: none; unfinished runs: pair 2" \
+        in captured.out
+    assert "complete=1" in captured.out
+    report = json.loads(captured.out.splitlines()[-1])
+    assert report["runs"]["change"][1] is None
+    assert report["runs"]["base"] == [run(1.0)] * 2
 
 
 SPREAD = [0.9, 0.95, 0.97, 0.99, 1.0, 1.0, 1.01, 1.03, 1.05, 1.1]

@@ -18,7 +18,8 @@ by more than the metric's bound, a fraction of BASE's median, and
 "unresolved" otherwise.  It also reports every run that failed a
 request or did not finish.  The last line of stdout is one JSON object
 with every run's metrics.  The exit status is 1 if any run failed a
-request, reported "correct": false or did not finish, else 0.  Nothing is
+request, reported "correct": false or did not finish, else 0; a run whose
+last stdout line is not JSON counts as one that did not finish.  Nothing is
 written into either checkout beyond what run.py itself writes.
 """
 
@@ -33,7 +34,8 @@ SIDES = ("base", "change")
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The last-line JSON of one run.py run, or None if it did not finish."""
+    """The last-line JSON of one run.py run, or None if it did not finish
+    or its last stdout line is not JSON."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -44,7 +46,12 @@ def run_once(checkout, workload, seed, seconds):
         sys.stderr.write("run.py failed in %s (exit %d):\n%s"
                          % (checkout, proc.returncode, proc.stderr))
         return None
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        sys.stderr.write("run.py in %s ended in a line that is not JSON:\n%s\n"
+                         % (checkout, lines[-1]))
+        return None
 
 
 def quartiles(values):

@@ -11,11 +11,12 @@ each grid row, one uniform string of n letters over σ letters, seeded by
 checkout, in process time, and the side that goes first alternates from
 round to round.  A timing repeats the scan until it spans about 50 ms,
 the same count on both sides.  Per row it prints the window CHANGE's scan
-steps, as fractions of n: its first split and the split it stops at.
-Then the median over the rounds of CHANGE's time over BASE's, the rounds
-CHANGE won, and whether both sides gave the same (length, split).  The
-exit status is 1 if any row disagrees, else 0.  Nothing is written into
-either checkout beyond the bytecode caches that importing it leaves.
+steps, as fractions of n: its first and last split, as CHANGE's
+`_window` returns them.  Then the median over the rounds of CHANGE's time
+over BASE's, the rounds CHANGE won, and whether both sides gave the same
+(length, split).  The exit status is 1 if any row disagrees, else 0.
+Nothing is written into either checkout beyond the bytecode caches that
+importing it leaves.
 """
 
 import argparse
@@ -43,28 +44,6 @@ def load_tandem(checkout, name):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(name + ".tandem")
-
-
-def window(tandem, f):
-    """(first, stop): the first split the uncounted scan steps and the
-    split it stops at, its count of drops."""
-    real = tandem.Comparator
-    drops = 0
-
-    class Counting(real):
-        __slots__ = ()
-
-        def drop_front_of_s(self):
-            nonlocal drops
-            drops += 1
-            real.drop_front_of_s(self)
-
-    tandem.Comparator = Counting
-    try:
-        tandem._scan(f, counted=False)
-    finally:
-        tandem.Comparator = real
-    return tandem._window(f)[0], drops
 
 
 def timed(tandem, f, repeats):
@@ -95,7 +74,7 @@ def main(argv=None):
                    for side, tandem in sides.items()}
         agree = answers["base"] == answers["change"]
         status |= not agree
-        first, stop = window(sides["change"], f)
+        first, last = sides["change"]._window(f)
         repeats = max(1, round(TARGET_S / max(
             timed(sides["base"], f, 1), 1e-6)))
         ratios = []
@@ -104,7 +83,7 @@ def main(argv=None):
             took = {side: timed(sides[side], f, repeats) for side in order}
             ratios.append(took["change"] / max(took["base"], 1e-9))
         print("%5d %5d %6.3f %6.3f %7.3f %6s %6d  %s" % (
-            sigma, n, first / n, stop / n, statistics.median(ratios),
+            sigma, n, first / n, last / n, statistics.median(ratios),
             "%d/%d" % (sum(x < 1 for x in ratios), len(ratios)), repeats,
             "yes" if agree else "NO %s %s" % (answers["base"],
                                                answers["change"])),
