@@ -40,9 +40,10 @@ class InputError(Exception):
 def parse_input(text, fasta=False):
     """Extract the subject string from raw text or single-record FASTA.
     Raw text drops one trailing `\n`, `\r\n` or `\r`; FASTA lines may end
-    in any of the three and break nowhere else, and a FASTA body is
-    uppercased letter for letter, so a letter whose uppercase is longer,
-    such as `ß`, is refused."""
+    in any of the three and break nowhere else, a body line sheds only the
+    spaces and tabs at its ends, and a FASTA body is uppercased letter for
+    letter, so a letter whose uppercase is longer, such as `ß`, is
+    refused."""
     if fasta:
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if not lines[0].startswith(">"):
@@ -51,9 +52,9 @@ def parse_input(text, fasta=False):
         for line in lines[1:]:
             if line.startswith(">"):
                 raise InputError("multi-record FASTA is not supported")
-            line = line.strip()
+            line = line.strip(" \t")
             if any(ch.isspace() for ch in line):
-                raise InputError("whitespace inside FASTA sequence line")
+                raise InputError("whitespace in FASTA sequence line")
             body.append(line)
         seq = "".join(body)
         upper = seq.upper()

@@ -13,9 +13,9 @@ searches.  Supported updates:
   extract_min()    every occurrence of the smallest value disappears, and
                    level suffixes shift down to repair the tail chain
 
-ThresholdStructure adds append(v), the counted extend((v,)) after a NaN
-check, and all_lis(), a lazy enumeration of every longest increasing
-subsequence, largest value chain first.
+ThresholdStructure adds append(v), which is extend((v,)), and all_lis(),
+a lazy enumeration of every longest increasing subsequence, largest
+value chain first.
 
 UncountedLevels keeps the levels alone, so its space is O(live keys): it
 is what the scan's comparator drives for a request that prints no
@@ -339,14 +339,7 @@ class ThresholdStructure(ThresholdLevels):
         return out
 
     def append(self, value):
-        """extend((value,)) without the batch path: after its NaN check,
-        the levels' counted loop runs on a run of one, then one log entry."""
-        if value != value:
-            raise ValueError("NaN is not ordered against other values")
-        ThresholdLevels.extend(self, (value,))
-        self.size += 1
-        self._log.append(value)
-        self._count[value] += 1
+        self.extend((value,))
 
     def extend(self, values):
         values = tuple(values)   # any iterable, read once for every use

@@ -58,11 +58,10 @@ class Comparator:
 
     def append_to_p(self, letter):
         """Extend P with letter: feed its match positions in S, largest
-        first, as one decreasing run."""
+        first, as one decreasing run; a letter with none left in S feeds
+        an empty run, which changes nothing."""
         self.p_letters.append(letter)
-        live = self.index.by_letter.get(letter)
-        if live:
-            self.ts.extend(live)
+        self.ts.extend(self.index.by_letter.get(letter, ()))
 
     def drop_front_of_s(self):
         """Shrink S from the front.  Positions leave S in increasing

@@ -69,10 +69,10 @@ def _scan(f, counted):
     split.  Else it drives UncountedLevels, steps only the window
     _window(f) of splits that can still win, and the RunStats is None."""
     start = time.perf_counter()
-    ts = ThresholdLevels() if counted else UncountedLevels()
-    comp = Comparator(f, ts)
     first, last = (1, len(f) - 1) if counted else _window(f)
-    _append_to_split(comp, f, first - 1)
+    comp = _comparator_at(f, first - 1,
+                          ThresholdLevels() if counted else UncountedLevels())
+    ts = comp.ts
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
@@ -163,24 +163,24 @@ def _anchored_lengths(f, anchor):
         row = ((row + hits) | (row - hits)) & full
     yield width - row.bit_count()
 
-def _append_to_split(comp, f, split):
-    """Bring comp, fresh over f, to f[:split] against f[split:] by
-    appends alone: no drop extracts, as the front reaches split while
-    the structure is empty, and the state depends only on the
-    survivors."""
+def _comparator_at(f, split, ts):
+    """A Comparator over f driving the empty levels ts, brought to
+    f[:split] against f[split:] by appends alone: no drop extracts, as
+    the front reaches split while the structure is empty, and the state
+    depends only on the survivors."""
+    comp = Comparator(f, ts)
     for _ in range(split):
         comp.drop_front_of_s()
     for letter in f[:split]:
         comp.append_to_p(letter)
+    return comp
 
 def replay_split(f, split):
     """Comparator holding f[:split] against f[split:], for callers that
     keep driving it; the tandem path builds none."""
     if not 0 <= split <= len(f):
         raise ValueError("split %d outside 0..%d" % (split, len(f)))
-    comp = Comparator(f, ThresholdLevels())
-    _append_to_split(comp, f, split)
-    return comp
+    return _comparator_at(f, split, ThresholdLevels())
 
 def split_levels(f, split):
     """Positional levels of f[:split] over f[split:], from one fresh

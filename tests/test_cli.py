@@ -61,6 +61,8 @@ def test_parse_fasta():
     assert cli.parse_input(">x\nAC\n", fasta=True) == "AC"
     assert cli.parse_input(">x\näÄb\n", fasta=True) == "ÄÄB"
     assert cli.parse_input(">x\rAC\rgt\r", fasta=True) == "ACGT"
+    # a body line sheds the spaces and tabs at its ends, and only those
+    assert cli.parse_input(">x\nAC \t\nGT\n", fasta=True) == "ACGT"
 
 
 @pytest.mark.parametrize("text", [
@@ -76,6 +78,11 @@ def test_parse_fasta():
     ">x\nACGT\x85ACGT\n",
     ">x\nACGT\u2028ACGT\n",
     ">rec\x0cGATTACAGATTACA\n",
+    # nor is other whitespace shed at a body line's ends
+    ">x\nACGT\x0c\nACGT\n",
+    ">x\n\x0bACGT\nACGT\n",
+    ">x\nACGT\x85\nACGT\n",
+    ">x\nACGT\n\u2028ACGT\n",
 ])
 def test_parse_fasta_rejects(text):
     with pytest.raises(cli.InputError):
@@ -112,6 +119,13 @@ def test_lis_length_only(capsys):
             "6", "5", "4"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def test_lis_values_read_by_int(capsys):
+    # surrounding whitespace, _ between digits and any Unicode decimal
+    # digit: 10, 5, 3, 20
+    assert cli.main(["lis", "1_0", " 5", "\u0663", "20"]) == 0
+    assert capsys.readouterr().out == "length=2\n"
 
 
 def test_lcss_length_only(capsys):

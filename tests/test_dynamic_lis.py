@@ -119,6 +119,25 @@ def test_nan_rejected_before_any_change():
         assert counter_state(ts.stats) == counters
 
 
+@pytest.mark.parametrize("cls", [UncountedLevels, ThresholdLevels,
+                                 ThresholdStructure])
+def test_empty_run_changes_nothing(cls):
+    # an empty run, such as the exhausted match list of a prefix letter,
+    # changes no key, no counter, no size and no log
+    ts = cls()
+    ts.extend([8, 2, 1, 6, 5])
+    ts.extract_min()
+
+    def state():
+        return (ts.key_lists(), counter_state(ts.stats), ts.lis_length,
+                getattr(ts, "size", None), getattr(ts, "position_counter",
+                                                   None))
+    before = state()
+    for empty in ((), []):
+        ts.extend(empty)
+        assert state() == before
+
+
 def test_extract_min_removes_only_level_one_tail():
     ts = build_structure(WORKED_STREAM)
     ts.extract_min()

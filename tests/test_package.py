@@ -5,9 +5,12 @@ import ast
 import doctest
 import inspect
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import ltss
@@ -16,7 +19,8 @@ from ltss import cli, dynamic_lis, string_compare, tandem
 import test_acceptance
 
 PACKAGE = pathlib.Path(ltss.__file__).parent
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -85,6 +89,22 @@ def test_acceptance_runner_verdict(capsys, monkeypatch):
         monkeypatch.setattr(test_acceptance, "ALL", checks)
         assert test_acceptance.main() == code
         assert "%s criteria passed" % tally in capsys.readouterr().out
+
+
+def test_acceptance_runner_fails_under_optimize():
+    # python -O strips assert statements; a failing criterion still fails
+    # the standalone runner there
+    script = ("import sys, test_acceptance as t\n"
+              "t.ALL = [lambda: t._report(False, 'stand-in')]\n"
+              "sys.exit(t.main())\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), str(TESTS),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["FAIL: stand-in",
+                                        "0/1 criteria passed"]
 
 
 def readme_block(lang):

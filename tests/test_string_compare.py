@@ -1,6 +1,7 @@
 """Comparator tests: the match index goldens, the worked prefix/suffix
 session, and randomized interleavings checked against the quadratic DP."""
 
+import copy
 import random
 from itertools import islice
 
@@ -11,11 +12,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from ltss.dynamic_lis import (ThresholdLevels, ThresholdStructure,
-                              positional_levels)
+                              UncountedLevels, positional_levels)
 from ltss.oracle import dp_lcss, lcss_length
 from ltss.string_compare import Comparator, MatchIndex
 
 S_GOLDEN = "AACGGGTA"
+COUNTS = ("append_calls", "extract_min_calls", "cascade_steps",
+          "search_steps", "structure_steps", "landed", "transfers_out")
 
 
 def advance(comp, letters):
@@ -60,10 +63,27 @@ def test_append_skips_consumed_positions():
 
 
 def test_missing_letter_is_a_noop():
-    comp = Comparator(S_GOLDEN, ThresholdLevels())
-    comp.append_to_p("X")
-    assert len(comp.p_letters) == 1
-    assert comp.lcss_length == 0
+    # a letter absent from S, and one whose suffix list is exhausted, feed
+    # the levels an empty run: the prefix grows and nothing else changes
+    for levels in (UncountedLevels, ThresholdLevels):
+        comp = Comparator(S_GOLDEN, levels())
+        comp.append_to_p("X")
+        assert len(comp.p_letters) == 1
+        assert comp.lcss_length == 0
+        advance(comp, "AG")
+        for _ in range(3):
+            comp.drop_front_of_s()    # position 3 holds the only C
+        assert comp.index.by_letter["C"] == []
+
+        def state():
+            return (comp.lcss_length, comp.front, comp.ts.key_lists(),
+                    copy.deepcopy([getattr(comp.ts.stats, name)
+                                   for name in COUNTS]))
+        before = state()
+        for letter in "XC":
+            comp.append_to_p(letter)
+            assert state() == before
+        assert comp.p_letters == list("XAGXC")
 
 
 def test_drop_front_session_mirrors_worked_example():
