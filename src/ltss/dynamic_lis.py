@@ -343,12 +343,15 @@ class ThresholdStructure(ThresholdLevels):
 
     def extend(self, values):
         values = tuple(values)   # any iterable, read once for every use
-        if any(v != v for v in values):
-            raise ValueError("NaN is not ordered against other values")
-        super().extend(values)
+        for v in values:
+            if v != v:
+                raise ValueError("NaN is not ordered against other values")
+        ThresholdLevels.extend(self, values)
         self.size += len(values)
-        self._log.extend(values)
-        self._count.update(values)
+        self._log += values
+        count = self._count
+        for v in values:
+            count[v] = count.get(v, 0) + 1
 
     def extract_min(self):
         m = self.min_value()

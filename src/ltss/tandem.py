@@ -16,9 +16,14 @@ moves by at most 1 per step.  F, the exact L at B's earliest maximum,
 floors the answer, and for t >= a, L(t) <= LCS(f[:t], f[a:]), which one
 bit-vector pass anchored at a gives.  Chains of such passes, each
 skipping at most F splits and run only while those splits outweigh it,
-narrow the window from both ends to the splits whose bounds reach F.
-Splits outside that window can neither win nor tie, so the length and
-split, which still come from the levels, are those of a full scan.
+narrow the window from both ends to the splits whose bounds reach F; the
+passes over one direction of f share one set of letter masks, which each
+shifts by its anchor.  Once the scan's best length lam reaches F, a later
+split matters only if its L reaches lam + 1, so the chain over the
+reversed string carries on with that floor and pulls the window's end in
+further.  Splits outside the window can neither win nor tie, so the
+length and split, which still come from the levels, are those of a full
+scan.
 """
 
 import time
@@ -66,18 +71,20 @@ class RunStats:
 def _scan(f, counted):
     """Run the split scan and return (best_len, best_split, RunStats).
     Its comparator drives ThresholdLevels if counted, and steps every
-    split.  Else it drives UncountedLevels, steps only the window
-    _window(f) of splits that can still win, and the RunStats is None."""
+    split.  Else it drives UncountedLevels, steps only the splits of
+    window = _Window(f), and the RunStats is None: each new best length
+    lam >= window.floor lets window.narrow pull the window's end in to
+    the last split that may still reach lam + 1."""
     start = time.perf_counter()
-    first, last = (1, len(f) - 1) if counted else _window(f)
-    comp = _comparator_at(f, first - 1,
+    window = None if counted else _Window(f)
+    comp = _comparator_at(f, 0 if counted else window.first - 1,
                           ThresholdLevels() if counted else UncountedLevels())
     ts = comp.ts
     append_to_p = comp.append_to_p
     drop = comp.drop_front_of_s
     best_len = 0
     best_split = 0
-    for t in range(first, last + 1):
+    for t in range(1, len(f)) if counted else window:
         drop()
         append_to_p(f[t - 1])
         lam = ts.lis_length
@@ -86,6 +93,8 @@ def _scan(f, counted):
         if lam > best_len:
             best_len = lam
             best_split = t
+            if not counted and lam >= window.floor:
+                window.narrow(lam, t)
     elapsed = time.perf_counter() - start
     if not counted:
         return best_len, best_split, None
@@ -101,59 +110,102 @@ def _scan(f, counted):
         elapsed=elapsed,
     )
 
-def _window(f):
-    """(first, last) of an uncounted scan's window of splits, within
-    [1, n - 1].  A split whose L falls below F = L(t*), for B's earliest
-    maximum t*, can neither win nor tie.  _carve gives first, and last
-    from the reversed string, whose split a is split n - a here; its
-    passes skip at most F splits each and run while the live matches they
-    may skip outweigh them."""
-    n = len(f)
-    counts = Counter(f)
-    # a letter's slack is its count less one, less twice its copies left
-    # of the split: one more copy crossing left raises its term in B while
-    # the slack is positive and lowers it while the slack is negative
-    slack = {letter: count - 1 for letter, count in counts.items()}
-    bounds = [0]
-    for letter in f:
-        s = slack[letter]
-        slack[letter] = s - 2
-        bounds.append(bounds[-1] + (s > 0) - (s < 0))
-    floor = next(_anchored_lengths(f, bounds.index(max(bounds))))
-    # the step at split t works on about t (n - t) S / n^2 live matches, S
-    # the sum of squared letter counts; a pass costs about _PASS_COST n
-    limit = _PASS_COST * n ** 3 // max(1, sum(c * c for c in counts.values()))
-    first = _carve(f, bounds, floor, limit)
-    last = n - _carve(f[::-1], bounds[::-1], floor, limit)
-    # with no repeated letter the floor is 0 and the carve keeps 0 and n
-    return max(first, 1), min(last, n - 1)
+class _Window:
+    """The splits an uncounted scan steps, first to last within [1, n - 1];
+    iterating yields them, reading last afresh at every step.  A split
+    whose L falls below F = floor = L(t*), for B's earliest maximum t*,
+    can neither win nor tie.  The chain over f gives first, and the chain
+    over the reversed string, whose split a is split n - a here, gives
+    last; narrow carries that chain on as the best length rises."""
 
-def _carve(f, bounds, floor, limit):
-    """The first split a with B(a) >= floor that the anchored passes keep.
-    For t >= a, L(t) <= LCS(f[:t], f[a:]), as f[t:] is a suffix of f[a:],
-    and the next pass anchors where B and that bound both reach floor.
-    LCS(f[:t], f[a:]) >= t - a, so a pass skips at most floor splits, and
-    fewer as the chain closes in: one runs only while k a (n - a) > limit,
-    for k the splits the last one skipped (floor at first)."""
-    a = next(t for t, bound in enumerate(bounds) if bound >= floor)
-    skipped = floor
-    while skipped * a * (len(f) - a) > limit:
-        for t, length in enumerate(_anchored_lengths(f, a), a):
-            if length >= floor and bounds[t] >= floor:
+    def __init__(self, f):
+        n = len(f)
+        counts = Counter(f)
+        # a letter's slack is its count less one, less twice its copies
+        # left of the split: one more copy crossing left raises its term in
+        # B while the slack is positive and lowers it while it is negative
+        slack = {letter: count - 1 for letter, count in counts.items()}
+        bounds = [0]
+        for letter in f:
+            s = slack[letter]
+            slack[letter] = s - 2
+            bounds.append(bounds[-1] + (s > 0) - (s < 0))
+        top = bounds.index(max(bounds))
+        self.floor = floor = next(_anchored_lengths(f, top, _masks(f[top:])))
+        # the step at split t works on about t (n - t) S / n^2 live matches,
+        # S the sum of squared letter counts; a pass costs about _PASS_COST n
+        squares = sum(c * c for c in counts.values())
+        limit = _PASS_COST * n ** 3 // max(1, squares)
+        self.first = max(_Chain(f, bounds, limit).carve(0, floor, floor, n), 1)
+        self.right = _Chain(f[::-1], bounds[::-1], limit)
+        # with no repeated letter the floor is 0 and the carves keep 0 and n
+        self.last = min(n - self.right.carve(0, floor, floor, n), n - 1)
+
+    def __iter__(self):
+        t = self.first
+        while t <= self.last:
+            yield t
+            t += 1
+
+    def narrow(self, best, t):
+        """Pull last in, never below the split t just stepped, to the last
+        split whose bounds may still reach best + 1: no later split can
+        beat best.  The reversed chain goes on from last's split, and its
+        first pass may skip best + 1 splits, or the last - t left if
+        fewer, in place of the last pass's skip."""
+        n = len(self.right.f)
+        self.last = n - self.right.carve(n - self.last, best + 1,
+                                         min(best + 1, self.last - t), n - t)
+
+class _Chain:
+    """A chain of anchored passes over one direction of f, with bounds the
+    B(t) of that direction; its passes share one set of letter masks,
+    built on the first pass."""
+
+    def __init__(self, f, bounds, limit):
+        self.f = f
+        self.bounds = bounds
+        self.limit = limit
+        self.masks = None
+
+    def carve(self, a, floor, skipped, stop):
+        """The first split from a on, stop at the most, whose B and whose
+        anchored bounds both reach floor.  For t >= a, L(t) <= LCS(f[:t],
+        f[a:]), as f[t:] is a suffix of f[a:], and the next pass anchors
+        where B and that bound both reach floor.  LCS(f[:t], f[a:]) >=
+        t - a, so a pass skips at most floor splits, and fewer as the chain
+        closes in: one runs only while skipped a (n - a) > limit, skipped
+        becoming the splits the last pass skipped."""
+        f, bounds = self.f, self.bounds
+        n = len(f)
+        while a < stop and bounds[a] < floor:
+            a += 1
+        while a < stop and skipped * a * (n - a) > self.limit:
+            if self.masks is None:
+                self.masks = _masks(f)
+            masks = {letter: mask >> a for letter, mask in self.masks.items()}
+            for t, length in enumerate(_anchored_lengths(f, a, masks), a):
+                if length >= floor and bounds[t] >= floor:
+                    break
+            if t == a:
                 break
-        if t == a:
-            break
-        a, skipped = t, t - a
-    return a
+            a, skipped = min(t, stop), t - a
+        return a
 
-def _anchored_lengths(f, anchor):
-    """Yield LCS(f[:t], f[anchor:]) for t = anchor, ..., n: L(anchor)
-    first, then a bound on each later L(t).  One Allison-Dix / Hyyro
-    bit-vector LCS pass on Python ints: bit j of row is cleared where the
-    DP row steps up at column j + 1 of f[anchor:]."""
+def _masks(f):
+    """Letter masks of f: bit j of a letter's mask is set where f[j] is
+    that letter."""
     masks = {}
-    for j, letter in enumerate(f[anchor:]):
+    for j, letter in enumerate(f):
         masks[letter] = masks.get(letter, 0) | 1 << j
+    return masks
+
+def _anchored_lengths(f, anchor, masks):
+    """Yield LCS(f[:t], f[anchor:]) for t = anchor, ..., n: L(anchor)
+    first, then a bound on each later L(t), given masks, the _masks of
+    f[anchor:].  One Allison-Dix / Hyyro bit-vector LCS pass on Python
+    ints: bit j of row is cleared where the DP row steps up at column
+    j + 1 of f[anchor:]."""
     width = len(f) - anchor
     row = full = (1 << width) - 1
     for t, letter in enumerate(f):

@@ -158,7 +158,8 @@ def test_split_length_matches_oracle_at_every_split():
     # a pass anchored at a yields LCS(f[:t], f[a:]) for t = a, ..., n; row
     # t of dp_lcss(f, f[a:]) ends in that length, as lcss_length(f[:t],
     # f[a:]) reads it, so one table per anchor covers every t; its first
-    # value, at t = a, is the split length L(a)
+    # value, at t = a, is the split length L(a).  A chain's pass reads the
+    # masks of f shifted by its anchor, the floor pass those of f[a:]
     rng = random.Random(67)
     strings = ["", "A", "Z", "ABCDEFG", "GFEDCBA"] + [
         uniform(rng, rng.randint(0, 60),
@@ -167,55 +168,116 @@ def test_split_length_matches_oracle_at_every_split():
     strings.append([rng.randint(1, 5) for _ in range(40)])
     for f in strings:
         n = len(f)
+        masks = tandem._masks(f)
         for a in range(n + 1):
             table = dp_lcss(f, f[a:])
-            assert list(tandem._anchored_lengths(f, a)) == \
+            shifted = {letter: mask >> a for letter, mask in masks.items()}
+            assert list(tandem._anchored_lengths(f, a, shifted)) == \
                 [table[t][-1] for t in range(a, n + 1)], (f, a)
-        assert [next(tandem._anchored_lengths(f, t))
+        assert [next(tandem._anchored_lengths(f, t, tandem._masks(f[t:])))
                 for t in range(n + 1)] == split_lengths(f), f
 
 
-def carve_reference(f, bounds, floor):
-    """The first split a with B(a) >= floor that the chain of anchored
-    passes keeps, with the anchored bound LCS(f[:t], f[a:]) read off the
-    DP oracle's table: a pass anchored at a ends at the first t >= a
-    where that bound and B(t) both reach floor, and the next pass runs
-    while k a (n - a) exceeds 64 n^3 over the sum of squared letter
-    counts, k being the splits the last pass skipped (floor at first)."""
+def carve_reference(f, bounds, floor, a, skipped, stop):
+    """The first split from a on, stop at the most, with B >= floor that
+    the chain of anchored passes keeps, with the anchored bound
+    LCS(f[:t], f[a:]) read off the DP oracle's table: a pass anchored at
+    a ends at the first t >= a where that bound and B(t) both reach floor
+    (at n if none does), and the next pass runs while k a (n - a) exceeds
+    64 n^3 over the sum of squared letter counts, k being the splits the
+    last pass skipped (skipped at first)."""
     n = len(f)
     squares = sum(c * c for c in Counter(f).values())
     limit = tandem._PASS_COST * n ** 3 // max(1, squares)
-    a = next(t for t in range(n + 1) if bounds[t] >= floor)
-    skipped = floor
-    while skipped * a * (n - a) > limit:
+    a = next((t for t in range(a, stop) if bounds[t] >= floor), stop)
+    while a < stop and skipped * a * (n - a) > limit:
         anchored = [row[-1] for row in dp_lcss(f, f[a:])]
-        t = next(t for t in range(a, n + 1)
-                 if anchored[t] >= floor and bounds[t] >= floor)
+        t = next((t for t in range(a, n + 1)
+                  if anchored[t] >= floor and bounds[t] >= floor), n)
         if t == a:
             break
-        a, skipped = t, t - a
+        a, skipped = min(t, stop), t - a
     return a
+
+
+def bounds_and_floor(f):
+    """B(t) for t = 0, ..., n from each side's letter counts, and the
+    floor F, the bit-parallel oracle's L at B's earliest maximum."""
+    bounds = [sum((Counter(f[:t]) & Counter(f[t:])).values())
+              for t in range(len(f) + 1)]
+    return bounds, split_lengths(f)[bounds.index(max(bounds))]
 
 
 def window_reference(f, carved):
     """(first, last) of the uncounted scan's window on at least two
-    letters, from the definitions: B(t) from each side's letter counts,
-    L(t) from the bit-parallel oracle.  The floor F is L at B's earliest
-    maximum.  Uncarved, the window is the letter-count one, from the
-    first to the last split whose B(t) >= F.  Carved, it starts at
-    carve_reference's split and ends at the split carve_reference keeps
-    on the reversed string, split t being split n - t there."""
+    letters, from the definitions: B(t) and F from bounds_and_floor.
+    Uncarved, the window is the letter-count one, from the first to the
+    last split whose B(t) >= F.  Carved, it starts at carve_reference's
+    split and ends at the split carve_reference keeps on the reversed
+    string, split t being split n - t there."""
     n = len(f)
-    bounds = [sum((Counter(f[:t]) & Counter(f[t:])).values())
-              for t in range(n + 1)]
-    floor = split_lengths(f)[bounds.index(max(bounds))]
+    bounds, floor = bounds_and_floor(f)
     if carved:
-        first = carve_reference(f, bounds, floor)
-        last = n - carve_reference(f[::-1], bounds[::-1], floor)
+        first = carve_reference(f, bounds, floor, 0, floor, n)
+        last = n - carve_reference(f[::-1], bounds[::-1], floor, 0, floor, n)
     else:
         first = next(t for t in range(n + 1) if bounds[t] >= floor)
         last = max(t for t in range(n + 1) if bounds[t] >= floor)
     return max(first, 1), min(last, n - 1)
+
+
+def stop_reference(f):
+    """The split where the uncounted scan stops, from the definitions: it
+    steps the carved window's splits in order, L(t) from the bit-parallel
+    oracle, and each new best length lam >= F carries the reversed carve
+    on from the window's end with floor lam + 1, its first pass skipping
+    lam + 1 splits or the last - t left if fewer, and stopping at split t
+    at the earliest."""
+    n = len(f)
+    bounds, floor = bounds_and_floor(f)
+    lengths = split_lengths(f)
+    t, last = window_reference(f, True)
+    best = 0
+    while t <= last:
+        if lengths[t] > best:
+            best = lengths[t]
+            if best >= floor:
+                last = n - carve_reference(f[::-1], bounds[::-1], best + 1,
+                                           n - last, min(best + 1, last - t),
+                                           n - t)
+        t += 1
+    return last
+
+
+def uncounted_stop(f):
+    """The uncounted scan's (length, split) of f, and the split where it
+    stopped: the scan drops one suffix letter per split it reaches."""
+    drops = 0
+    real_drop = Comparator.drop_front_of_s
+
+    def drop(self):
+        nonlocal drops
+        drops += 1
+        real_drop(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Comparator, "drop_front_of_s", drop)
+        answer = tandem._scan(f, counted=False)[:2]
+    return answer, drops
+
+
+@functools.cache
+def recarved_at_sigma_256():
+    """2500 letters at sigma 256: the best length passes F 6 times, and the
+    re-carves' anchored passes pull the window's end from 0.54 n to
+    0.50 n."""
+    return uniform(random.Random(89), 2500,
+                   "".join(map(chr, range(0x100, 0x200))))
+
+
+def window_of(f):
+    w = tandem._Window(f)
+    return w.first, w.last
 
 
 def test_window_matches_its_definition():
@@ -225,27 +287,29 @@ def test_window_matches_its_definition():
         f = uniform(rng, rng.randint(2, 50),
                     rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
         window = window_reference(f, True)
-        assert tandem._window(f) == window, f
+        assert window_of(f) == window, f
         carved += window != window_reference(f, False)
     # the passes narrow 14 of these windows
     assert carved >= 10
     # with no repeated letter the floor is 0, and the clamps give the
     # full scan's [1, n - 1]
-    assert tandem._window("ABCDEFG") == window_reference("ABCDEFG", True) \
+    assert window_of("ABCDEFG") == window_reference("ABCDEFG", True) \
         == (1, 6)
 
 
 def test_uncounted_scan_steps_only_the_window(monkeypatch):
     # the uncounted scan reaches split first - 1 by drops and appends alone,
-    # with no extract, then steps up to the window's last split; the
-    # counted scan steps every split
+    # with no extract, then steps up to the split where the re-carves on
+    # each new best length stop it; the counted scan steps every split
     f = uniform(random.Random(71), 600, "ACGT")
     n = len(f)
     first, last = window_reference(f, True)
-    # the anchored passes move both ends of the letter-count window in
+    stop = stop_reference(f)
+    # the anchored passes move both ends of the letter-count window in,
+    # and the best length, passing F twice, pulls the end in further
     b_first, b_last = window_reference(f, False)
     assert (b_first, b_last) == (194, 406)
-    assert b_first < first < last < b_last
+    assert b_first < first < stop < last < b_last
     events = []
     real_drop = Comparator.drop_front_of_s
     real_append = Comparator.append_to_p
@@ -276,7 +340,7 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
 
     answer, drops, skipped, first_extract = scan(False)
     assert answer == bitparallel_ltss(f)
-    assert (skipped, drops) == (first - 1, last)
+    assert (skipped, drops) == (first - 1, stop)
     assert first_extract >= first
     answer, drops, skipped, first_extract = scan(True)
     assert answer == bitparallel_ltss(f)
@@ -287,16 +351,19 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
 
 def test_window_is_sound_at_scale():
     # every split outside the carved window has L(t) < F, the floor the
-    # passes carve to, so none can win or tie; and the uncounted scan, the
-    # counted scan and the bit-parallel oracle agree on (length, split)
-    # sigma 2, 4 and 20 at n = 2000 are the strings whose every split
-    # length test_every_split_length_at_thousands_of_letters checks
+    # passes carve to, so none can win or tie; no split after the one
+    # where the uncounted scan stops beats the best length it saw; and the
+    # uncounted scan, the counted scan and the bit-parallel oracle agree
+    # on (length, split).  sigma 2, 4 and 20 at n = 2000 are the strings
+    # whose every split length
+    # test_every_split_length_at_thousands_of_letters checks
     rng = random.Random(83)
     strings = thousands_of_letters()[:3] + [
         uniform(rng, n, "".join(map(chr, range(0x100, 0x100 + sigma))))
         for sigma in (2, 4, 20, 64, 256) for n in (1000, 2000)
         if n == 1000 or sigma > 20]
     strings += large_shapes() + list(benchmark_shapes().values())
+    strings.append(recarved_at_sigma_256())
     for f in strings:
         n = len(f)
         lengths = cached_split_lengths(f)
@@ -311,12 +378,63 @@ def test_window_is_sound_at_scale():
             right[letter] -= 1
         bounds.append(0)
         floor = lengths[bounds.index(max(bounds))]
-        first, last = tandem._window(f)
+        first, last = window_of(f)
         assert 0 < floor and first <= last
         assert all(lengths[t] < floor for t in itertools.chain(
             range(first), range(last + 1, n + 1))), n
-        assert tandem._scan(f, counted=False)[:2] == answer
+        scanned, stop = uncounted_stop(f)
+        assert scanned == answer
+        assert answer[1] <= stop <= last
+        assert all(lengths[t] <= best for t in range(stop + 1, n + 1)), n
         assert tandem._scan(f, counted=True)[:2] == answer
+
+
+def test_window_end_closes_in_as_the_best_rises(monkeypatch):
+    # window.narrow runs once per new best length lam >= F and only then;
+    # it runs anchored passes only where they pay
+    calls = []
+    real_narrow = tandem._Window.narrow
+    real_lengths = tandem._anchored_lengths
+
+    def narrow(self, best, t):
+        calls.append([best, self.last, None, 0])
+        real_narrow(self, best, t)
+        calls[-1][2] = self.last
+
+    def anchored_lengths(f, anchor, masks):
+        if calls:
+            calls[-1][-1] += 1
+        return real_lengths(f, anchor, masks)
+
+    monkeypatch.setattr(tandem._Window, "narrow", narrow)
+    monkeypatch.setattr(tandem, "_anchored_lengths", anchored_lengths)
+    # no letter repeats: F = 0, the best length never rises and the scan
+    # steps every split
+    assert uncounted_stop("ABCDEFG") == ((0, 0), 6)
+    assert calls == []
+    # the best length reaches F but never passes it: the one call, with
+    # floor F + 1, runs no pass and leaves the end where it was
+    f = uniform(random.Random(13), 200, "ACGT")
+    floor = tandem._Window(f).floor
+    last = window_reference(f, True)[1]
+    assert bitparallel_ltss(f)[0] == floor
+    assert uncounted_stop(f) == (bitparallel_ltss(f), last)
+    assert calls == [[floor, last, last, 0]]
+    assert stop_reference(f) == last
+    # at sigma 256 the best length passes F six times, and the re-carves'
+    # passes pull the end in from 1358 to 1247, the winning split's
+    # neighbourhood; test_window_is_sound_at_scale checks the splits left
+    calls.clear()
+    f = recarved_at_sigma_256()
+    floor = tandem._Window(f).floor
+    answer, stop = uncounted_stop(f)
+    lengths = cached_split_lengths(f)
+    assert answer == (max(lengths), lengths.index(max(lengths)))
+    assert [best for best, _, _, _ in calls] == list(range(floor,
+                                                           answer[0] + 1))
+    assert (calls[0][1], stop) == (1358, 1247)
+    assert all(before >= after for _, before, after, _ in calls)
+    assert sum(passes for _, _, _, passes in calls) > 0
 
 
 def test_every_split_length_at_thousands_of_letters():

@@ -10,9 +10,10 @@ each grid row, one uniform string of n letters over σ letters, seeded by
 σ and n, every round times `_scan(f, counted=False)` once in each
 checkout, in process time, and the side that goes first alternates from
 round to round.  A timing repeats the scan until it spans about 50 ms,
-the same count on both sides.  Per row it prints the window CHANGE's scan
-steps, as fractions of n: its first and last split, as CHANGE's
-`_window` returns them.  Then the median over the rounds of CHANGE's time
+the same count on both sides.  Per row it prints the splits CHANGE's scan
+steps, as fractions of n: its first split, as CHANGE's `_Window` gives
+it, and the split where the scan stopped, counted as the drops its
+comparator made.  Then the median over the rounds of CHANGE's time
 over BASE's, the rounds CHANGE won, and whether both sides gave the same
 (length, split).  The exit status is 1 if any row disagrees, else 0.
 Nothing is written into either checkout beyond the bytecode caches that
@@ -53,6 +54,26 @@ def timed(tandem, f, repeats):
     return time.process_time() - start
 
 
+def stop_split(tandem, f):
+    """The split where the checkout's uncounted scan of f stops: a scan
+    drops one suffix letter per split it reaches."""
+    real = tandem.Comparator
+    drops = 0
+
+    class Counting(real):
+        def drop_front_of_s(self):
+            nonlocal drops
+            drops += 1
+            real.drop_front_of_s(self)
+
+    tandem.Comparator = Counting
+    try:
+        tandem._scan(f, counted=False)
+    finally:
+        tandem.Comparator = real
+    return drops
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="root of the checkout to compare against")
@@ -74,7 +95,8 @@ def main(argv=None):
                    for side, tandem in sides.items()}
         agree = answers["base"] == answers["change"]
         status |= not agree
-        first, last = sides["change"]._window(f)
+        first = sides["change"]._Window(f).first
+        stop = stop_split(sides["change"], f)
         repeats = max(1, round(TARGET_S / max(
             timed(sides["base"], f, 1), 1e-6)))
         ratios = []
@@ -83,7 +105,7 @@ def main(argv=None):
             took = {side: timed(sides[side], f, repeats) for side in order}
             ratios.append(took["change"] / max(took["base"], 1e-9))
         print("%5d %5d %6.3f %6.3f %7.3f %6s %6d  %s" % (
-            sigma, n, first / n, last / n, statistics.median(ratios),
+            sigma, n, first / n, stop / n, statistics.median(ratios),
             "%d/%d" % (sum(x < 1 for x in ratios), len(ratios)), repeats,
             "yes" if agree else "NO %s %s" % (answers["base"],
                                                answers["change"])),
