@@ -210,10 +210,8 @@ def cmd_lcss(args):
     # one walk per request; its first item is the reported witness, kept
     # across the walk, so copied out of the walk's slots
     found = islice(walk_lis(levels), args.enumerate or 1)
-    p_positions, s_positions = [], []
-    if length:
-        _, tags, values = next(found)
-        p_positions, s_positions = tags[:], values[:]
+    _, tags, values = next(found)
+    p_positions, s_positions = tags[:], values[:]
     if args.verify:
         ref = oracle.lcss_length(args.p, args.s)
         pairs = list(zip(p_positions, s_positions))

@@ -15,7 +15,8 @@ searches.  Supported updates:
 
 ThresholdStructure adds append(v), which is extend((v,)), and all_lis(),
 a lazy enumeration of every longest increasing subsequence, largest
-value chain first.
+value chain first.  An empty history has exactly one, the empty
+subsequence, so every enumeration over one yields one empty item.
 
 UncountedLevels keeps the levels alone, so its space is O(live keys): it
 is what the scan's comparator drives for a request that prints no
@@ -362,9 +363,8 @@ class ThresholdStructure(ThresholdLevels):
     def all_lis(self):
         """Yield, lazily, every longest strictly increasing subsequence as
         a tuple of (value, position) pairs in top-down window walk order,
-        maximal value chain first.  An empty structure raises at the call."""
-        if self.size == 0:
-            raise ValueError("all_lis on empty structure")
+        maximal value chain first.  An empty structure, new or drained by
+        extracts, yields the empty subsequence () once."""
         return (tuple(zip(values, positions)) for _, positions, values in
                 walk_lis(self._survivor_levels()))
 
@@ -421,9 +421,11 @@ def walk_lis(levels):
     place, and how many leading slots it reassigned since the previous
     item (all of them on the first).  Slots from rewritten up still hold
     the previous item's entries; a consumer keeps what it needs of them
-    before asking for the next item."""
+    before asking for the next item.  No levels have one longest
+    subsequence, the empty one: the walk yields (0, [], []) and stops."""
     if not levels:
-        raise ValueError("no increasing subsequence in an empty history")
+        yield 0, [], []
+        return
     lam = len(levels)
     tags = [None] * lam
     values = [None] * lam

@@ -80,7 +80,8 @@ class Comparator:
         """Yield, lazily, each maximal common subsequence as a list of
         (p_position, s_position) pairs in enumeration order, both strictly
         increasing, s in original S coordinates.  The levels are built on
-        the first item, over the live lists."""
+        the first item, over the live lists.  With no common letter the one
+        maximal common subsequence is the empty one: it yields [] once."""
         levels = self.index.levels(self.p_letters)
         for _, p_positions, s_positions in walk_lis(levels):
             yield list(zip(p_positions, s_positions))

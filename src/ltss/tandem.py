@@ -238,19 +238,13 @@ def split_levels(f, split):
     """Positional levels of f[:split] over f[split:], from one fresh
     MatchIndex(f) with the prefix's positions popped: a walk item is a
     maximal tandem's first and second occurrence lists.  A split with no
-    common letter gives no levels."""
+    common letter gives no levels, whose walk is the one empty item."""
     if not 0 <= split <= len(f):
         raise ValueError("split %d outside 0..%d" % (split, len(f)))
     index = MatchIndex(f)
     for letter in f[:split]:
         index.by_letter[letter].pop()   # the list tail, as a drop pops it
     return index.levels(f[:split])
-
-def split_walk(f, split):
-    """walk_lis over split_levels(f, split); a split with no common letter
-    walks the one empty item."""
-    levels = split_levels(f, split)
-    return walk_lis(levels) if levels else iter([(0, [], [])])
 
 def walk_tandems(f, walk):
     """Yield (witness, first_occurrence, second_occurrence) for each item
@@ -265,13 +259,13 @@ def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
     maximal tandem at the split, in enumeration order, from one positional
     build; a split with no common letter yields the one empty tandem."""
-    yield from walk_tandems(f, split_walk(f, split))
+    yield from walk_tandems(f, walk_lis(split_levels(f, split)))
 
 def solve(f, scan):
     """The LtssResult of f's _scan answer, and the split walk whose first
     item gave its witness: the walk yields that item again, slots intact."""
     best_len, best_split, stats = scan
-    walk = split_walk(f, best_split)
+    walk = walk_lis(split_levels(f, best_split))
     item = next(walk)
     witness, first, second = next(walk_tandems(f, (item,)))
     return (LtssResult(best_len, best_split, witness, first, second, stats),

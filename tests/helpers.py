@@ -200,7 +200,8 @@ def reference_walk_lis(levels):
     """The walk that opens every window with _window, two bisects and two
     slices each; the reference for walk_lis, item for item."""
     if not levels:
-        raise ValueError("no increasing subsequence in an empty history")
+        yield 0, [], []
+        return
     lam = len(levels)
     tags = [None] * lam
     values = [None] * lam

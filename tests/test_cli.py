@@ -2,6 +2,7 @@
 formats, verify/exit codes, and error handling."""
 
 import argparse
+import codecs
 import contextlib
 import hashlib
 import io
@@ -9,13 +10,17 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from itertools import islice
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltss import cli, oracle, string_compare, tandem
 from ltss.dynamic_lis import ThresholdLevels, UncountedLevels
@@ -105,6 +110,74 @@ def test_fasta_letter_with_longer_uppercase_exits_2(letter, capsys,
     # raw input is never uppercased, so the letter is one letter there
     assert run_cli(["ltss"], "%sa%s\n" % (letter, letter), monkeypatch) == 0
     assert "occ2=3" in capsys.readouterr().out
+
+
+# The input contract of README's table, written out for raw text and
+# FASTA read from a file or stdin: ("ok", subject) or ("error", message).
+SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1))
+                 if ch.isspace())
+
+
+def contract_parse(data, fasta):
+    if data.startswith(codecs.BOM_UTF8):    # a leading one is dropped
+        data = data[len(codecs.BOM_UTF8):]
+    text = data.decode("utf-8")
+    if not fasta:
+        for end in ("\r\n", "\n", "\r"):     # one trailing line ending
+            if text.endswith(end):
+                text = text[:-len(end)]
+                break
+        if any(ch.isspace() for ch in text):
+            return "error", "raw input must be a single string without " \
+                "whitespace"
+        return "ok", text
+    header, *body = re.split("\r\n|\r|\n", text)
+    if not header.startswith(">"):
+        return "error", "FASTA input must start with a '>' header line"
+    letters = []
+    for line in body:
+        if line.startswith(">"):
+            return "error", "multi-record FASTA is not supported"
+        line = re.fullmatch("[ \t]*(.*?)[ \t]*", line, re.DOTALL).group(1)
+        if any(ch.isspace() for ch in line):
+            return "error", "whitespace in FASTA sequence line"
+        letters += line
+    for ch in letters:
+        if len(ch.upper()) != 1:
+            return "error", "FASTA letter %r uppercases to %r, not one " \
+                "letter" % (ch, ch.upper())
+    if not letters:
+        return "error", "empty FASTA body"
+    return "ok", "".join(ch.upper() for ch in letters)
+
+
+def cli_parse(data, fasta):
+    with mock.patch("sys.stdin", SimpleNamespace(buffer=io.BytesIO(data))):
+        try:
+            return "ok", cli.parse_input(cli._read_source("-"), fasta)
+        except cli.InputError as exc:
+            return "error", str(exc)
+
+
+# letters (a non-BMP one with a one-letter uppercase, and ß with a longer
+# one), the byte-order mark, and every whitespace character; a line is
+# clean, padded with spaces and tabs, or open to any whitespace
+LETTERS = "ACgt>\U00010428\u00df\ufeff"
+CONTRACT_LINES = st.lists(st.tuples(
+    st.one_of(st.text(LETTERS, max_size=4),
+              st.text(LETTERS + " \t", max_size=4),
+              st.text(LETTERS + SPACES, max_size=4)),
+    st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=5)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(CONTRACT_LINES, st.booleans(), st.booleans())
+def test_parse_input_follows_the_contract_table(lines, header, bom):
+    text = "".join(line + end for line, end in lines)
+    data = ((codecs.BOM_UTF8 if bom else b"")
+            + ((">x\n" if header else "") + text).encode("utf-8"))
+    for fasta in (False, True):
+        assert cli_parse(data, fasta) == contract_parse(data, fasta)
 
 
 # ------------------------------------------------- documented invocations
@@ -430,7 +503,8 @@ def test_print_tandems_matches_reference_on_split_walks():
         if not lam:
             continue
         lines = [printed(printer, f, lam,
-                         islice(tandem.split_walk(f, split), 2000))
+                         islice(tandem.walk_lis(tandem.split_levels(f, split)),
+                                2000))
                  for printer in (cli._print_tandems, reference_print_tandems)]
         assert lines[0] == lines[1], f
 
@@ -536,6 +610,12 @@ LIS_SEQS = ["2:2,5:5,6:8", "1:3,5:5,6:8", "2:2,4:6,6:8", "1:3,4:6,6:8",
     (["lis", "--enumerate", "10", "8", "2", "1", "6", "5", "4", "3", "6",
       "5", "4"],
      "length=3\n" + "".join("seq=%s\n" % row for row in LIS_SEQS)),
+    # no common letter: the walk's one empty item is the witness, and a
+    # length-0 answer lists no alternatives
+    (["lcss", "--enumerate", "3", "AB", "CD"],
+     "length=0\nwitness=\np_positions=\ns_positions=\n"),
+    (["lcss", "--format", "json", "--enumerate", "3", "AB", "CD"],
+     '{"length": 0, "witness": "", "pPositions": [], "sPositions": []}\n'),
 ])
 def test_lcss_lis_output_bytes(argv, expected, capsys):
     assert cli.main(argv) == 0

@@ -29,7 +29,9 @@ def test_no_assert_statements():
     # module counts, a subpackage's too
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        # source files are UTF-8 (PEP 3120) whatever the locale
+        tree = ast.parse(path.read_text(encoding="utf-8"),
+                         filename=str(path))
         found += ["%s:%d" % (path.relative_to(PACKAGE), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert PACKAGE.name == "ltss" and len(list(PACKAGE.glob("*.py"))) > 1

@@ -14,7 +14,8 @@ from collections import Counter
 import pytest
 
 from ltss import string_compare, tandem
-from ltss.dynamic_lis import ThresholdLevels, UncountedLevels
+from ltss.dynamic_lis import (ThresholdLevels, ThresholdStructure,
+                              UncountedLevels)
 from ltss.oracle import (bitparallel_ltss, dp_lcss, naive_ltss, split_lengths,
                          validate_tandem)
 from ltss.string_compare import Comparator
@@ -483,8 +484,7 @@ def scan_replay(f, split):
 
 
 def witness_list(comp, limit):
-    return (list(itertools.islice(comp.witnesses(), limit))
-            if comp.lcss_length else [])
+    return list(itertools.islice(comp.witnesses(), limit))
 
 
 def as_tandem(f, pairs):
@@ -501,7 +501,7 @@ def check_replay(f, split, limit):
     expected = witness_list(ref, limit)
     assert witness_list(comp, limit) == expected
     # a split with no common letter has the one empty tandem
-    tandems = [as_tandem(f, pairs) for pairs in expected] or [("", [], [])]
+    tandems = [as_tandem(f, pairs) for pairs in expected]
     assert list(itertools.islice(split_tandems(f, split), limit)) == tandems
     stats = comp.ts.stats
     assert stats.extract_min_calls == 0
@@ -540,8 +540,6 @@ def test_split_tandems_follow_scan_enumeration():
     for _ in range(20):
         f = "".join(rng.choice("ACGT") for _ in range(rng.randint(2, 120)))
         res = compute_ltss(f)
-        if not res.length:
-            continue
         expected = [as_tandem(f, pairs) for pairs in
                     itertools.islice(
                         scan_replay(f, res.split_index).witnesses(), 300)]
@@ -562,6 +560,24 @@ def test_split_tandems_single_letter_witnesses():
 def test_split_tandems_zero_length_splits():
     # the empty prefix, the empty suffix, and a split with no common letter
     for f, split in (("AB", 1), ("ABAB", 0), ("ABAB", 4)):
+        assert list(split_tandems(f, split)) == [("", [], [])]
+
+
+def test_empty_cases_enumerate_one_empty_item():
+    # with nothing to match, every enumerator yields the one empty answer,
+    # once, through the same path as any other answer
+    assert [(r, tags[:], values[:]) for r, tags, values in
+            tandem.walk_lis([])] == [(0, [], [])]
+    ts = ThresholdStructure()
+    assert list(ts.all_lis()) == [()]
+    ts.append(4)
+    ts.extract_min()
+    assert list(ts.all_lis()) == [()]
+    comp = Comparator("XY", UncountedLevels())
+    comp.append_to_p("A")
+    assert list(comp.witnesses()) == [[]]
+    for f, split in (("AB", 1), ("ABAB", 0), ("ABAB", 4)):
+        assert list(replay_split(f, split).witnesses()) == [[]]
         assert list(split_tandems(f, split)) == [("", [], [])]
 
 
