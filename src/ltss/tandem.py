@@ -14,16 +14,15 @@ its scan steps only the splits that can still win.  L(t) is at most B(t),
 the sum over letters of the lesser of their counts on each side, and it
 moves by at most 1 per step.  F, the exact L at B's earliest maximum,
 floors the answer, and for t >= a, L(t) <= LCS(f[:t], f[a:]), which one
-bit-vector pass anchored at a gives.  Chains of such passes, each
+bit-vector pass anchored at a gives.  A chain of such passes, each
 skipping at most F splits and run only while those splits outweigh it,
-narrow the window from both ends to the splits whose bounds reach F; the
+moves the window's start to the first split whose bounds reach F; the
 passes over one direction of f share one set of letter masks, which each
-shifts by its anchor.  Once the scan's best length lam reaches F, a later
-split matters only if its L reaches lam + 1, so the chain over the
-reversed string carries on with that floor and pulls the window's end in
-further.  Splits outside the window can neither win nor tie, so the
-length and split, which still come from the levels, are those of a full
-scan.
+shifts by its anchor.  The end starts at n - 1, and only the scan's best
+length lam moves it: once lam reaches F, a later split matters only if
+its L reaches lam + 1, so the chain over the reversed string pulls the
+end in with that floor.  No split left out can win, so the length and
+split, which still come from the levels, are those of a full scan.
 """
 
 import time
@@ -73,8 +72,8 @@ def _scan(f, counted):
     Its comparator drives ThresholdLevels if counted, and steps every
     split.  Else it drives UncountedLevels, steps only the splits of
     window = _Window(f), and the RunStats is None: each new best length
-    lam >= window.floor lets window.narrow pull the window's end in to
-    the last split that may still reach lam + 1."""
+    lam >= window.floor lets window.narrow pull the window's end, n - 1 at
+    first, in to the last split that may still reach lam + 1."""
     start = time.perf_counter()
     window = None if counted else _Window(f)
     comp = _comparator_at(f, 0 if counted else window.first - 1,
@@ -114,9 +113,9 @@ class _Window:
     """The splits an uncounted scan steps, first to last within [1, n - 1];
     iterating yields them, reading last afresh at every step.  A split
     whose L falls below F = floor = L(t*), for B's earliest maximum t*,
-    can neither win nor tie.  The chain over f gives first, and the chain
-    over the reversed string, whose split a is split n - a here, gives
-    last; narrow carries that chain on as the best length rises."""
+    can neither win nor tie.  The chain over f gives first.  last starts
+    at n - 1, and only narrow moves it, through the chain over the
+    reversed string, whose split a is split n - a here."""
 
     def __init__(self, f):
         n = len(f)
@@ -136,10 +135,9 @@ class _Window:
         # S the sum of squared letter counts; a pass costs about _PASS_COST n
         squares = sum(c * c for c in counts.values())
         limit = _PASS_COST * n ** 3 // max(1, squares)
-        self.first = max(_Chain(f, bounds, limit).carve(0, floor, floor, n), 1)
+        self.first = _Chain(f, bounds, limit).carve(1, floor, floor, n)
         self.right = _Chain(f[::-1], bounds[::-1], limit)
-        # with no repeated letter the floor is 0 and the carves keep 0 and n
-        self.last = min(n - self.right.carve(0, floor, floor, n), n - 1)
+        self.last = n - 1
 
     def __iter__(self):
         t = self.first
@@ -150,9 +148,9 @@ class _Window:
     def narrow(self, best, t):
         """Pull last in, never below the split t just stepped, to the last
         split whose bounds may still reach best + 1: no later split can
-        beat best.  The reversed chain goes on from last's split, and its
-        first pass may skip best + 1 splits, or the last - t left if
-        fewer, in place of the last pass's skip."""
+        beat best.  The reversed chain goes on from last, n - 1 before
+        the first call, and its first pass may skip best + 1 splits, or
+        the last - t left if fewer, in place of the last pass's skip."""
         n = len(self.right.f)
         self.last = n - self.right.carve(n - self.last, best + 1,
                                          min(best + 1, self.last - t), n - t)
@@ -257,8 +255,10 @@ def walk_tandems(f, walk):
 
 def split_tandems(f, split):
     """Yield (witness, first_occurrence, second_occurrence) for every
-    maximal tandem at the split, in enumeration order, from one positional
-    build; a split with no common letter yields the one empty tandem."""
+    maximal tandem of the str f at the split, in enumeration order, from
+    one positional build; a split with no common letter yields ("", [], [])."""
+    if not isinstance(f, str):
+        raise TypeError("split_tandems expects a str, got %s" % type(f).__name__)
     yield from walk_tandems(f, walk_lis(split_levels(f, split)))
 
 def solve(f, scan):

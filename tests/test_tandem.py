@@ -210,30 +210,28 @@ def bounds_and_floor(f):
 
 
 def window_reference(f, carved):
-    """(first, last) of the uncounted scan's window on at least two
-    letters, from the definitions: B(t) and F from bounds_and_floor.
+    """(first, last) of the uncounted scan's window on at least one
+    letter, from the definitions: B(t) and F from bounds_and_floor.
     Uncarved, the window is the letter-count one, from the first to the
-    last split whose B(t) >= F.  Carved, it starts at carve_reference's
-    split and ends at the split carve_reference keeps on the reversed
-    string, split t being split n - t there."""
+    last split whose B(t) >= F, within [1, n - 1].  Carved, it is the
+    window the scan starts with: from carve_reference's split, carving
+    from split 1, to n - 1, as only a new best length moves the end."""
     n = len(f)
     bounds, floor = bounds_and_floor(f)
     if carved:
-        first = carve_reference(f, bounds, floor, 0, floor, n)
-        last = n - carve_reference(f[::-1], bounds[::-1], floor, 0, floor, n)
-    else:
-        first = next(t for t in range(n + 1) if bounds[t] >= floor)
-        last = max(t for t in range(n + 1) if bounds[t] >= floor)
+        return carve_reference(f, bounds, floor, 1, floor, n), n - 1
+    first = next(t for t in range(n + 1) if bounds[t] >= floor)
+    last = max(t for t in range(n + 1) if bounds[t] >= floor)
     return max(first, 1), min(last, n - 1)
 
 
 def stop_reference(f):
     """The split where the uncounted scan stops, from the definitions: it
-    steps the carved window's splits in order, L(t) from the bit-parallel
-    oracle, and each new best length lam >= F carries the reversed carve
-    on from the window's end with floor lam + 1, its first pass skipping
-    lam + 1 splits or the last - t left if fewer, and stopping at split t
-    at the earliest."""
+    steps the carved window's splits in order from its start, L(t) from
+    the bit-parallel oracle, and the end, n - 1 at first, moves only when
+    a new best length lam >= F carries the reversed carve on from it with
+    floor lam + 1, its first pass skipping lam + 1 splits or the last - t
+    left if fewer, and stopping at split t at the earliest."""
     n = len(f)
     bounds, floor = bounds_and_floor(f)
     lengths = split_lengths(f)
@@ -270,7 +268,7 @@ def uncounted_stop(f):
 @functools.cache
 def recarved_at_sigma_256():
     """2500 letters at sigma 256: the best length passes F 6 times, and the
-    re-carves' anchored passes pull the window's end from 0.54 n to
+    re-carves' anchored passes pull the window's end from n - 1 to
     0.50 n."""
     return uniform(random.Random(89), 2500,
                    "".join(map(chr, range(0x100, 0x200))))
@@ -282,18 +280,23 @@ def window_of(f):
 
 
 def test_window_matches_its_definition():
+    # the window starts at the carved first split and ends at n - 1, and
+    # the scan stops where the re-carves on each new best length put the
+    # end; the empty string, whose end is -1, steps no split at all
     rng = random.Random(73)
+    strings = [uniform(rng, rng.randint(2, 50),
+                       rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
+               for _ in range(200)]
     carved = 0
-    for _ in range(200):
-        f = uniform(rng, rng.randint(2, 50),
-                    rng.choice(("A", "AB", "ABC", "ACGT", "ABCDEFGH")))
+    for f in strings + ["A", "AB", "ABCDEFG"]:
         window = window_reference(f, True)
         assert window_of(f) == window, f
-        carved += window != window_reference(f, False)
-    # the passes narrow 14 of these windows
+        assert uncounted_stop(f) == (bitparallel_ltss(f), stop_reference(f)), f
+        carved += window[0] != window_reference(f, False)[0]
+    # the passes move the start of 11 of these windows
     assert carved >= 10
-    # with no repeated letter the floor is 0, and the clamps give the
-    # full scan's [1, n - 1]
+    # with no repeated letter the floor is 0, and the window is the full
+    # scan's [1, n - 1]
     assert window_of("ABCDEFG") == window_reference("ABCDEFG", True) \
         == (1, 6)
 
@@ -304,13 +307,14 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
     # each new best length stop it; the counted scan steps every split
     f = uniform(random.Random(71), 600, "ACGT")
     n = len(f)
-    first, last = window_reference(f, True)
+    first = window_reference(f, True)[0]
     stop = stop_reference(f)
-    # the anchored passes move both ends of the letter-count window in,
-    # and the best length, passing F twice, pulls the end in further
+    # the anchored passes move the start of the letter-count window in,
+    # and the best length, passing F twice, pulls the end in from n - 1
+    # to inside it
     b_first, b_last = window_reference(f, False)
     assert (b_first, b_last) == (194, 406)
-    assert b_first < first < stop < last < b_last
+    assert b_first < first < stop < b_last
     events = []
     real_drop = Comparator.drop_front_of_s
     real_append = Comparator.append_to_p
@@ -351,12 +355,12 @@ def test_uncounted_scan_steps_only_the_window(monkeypatch):
 
 
 def test_window_is_sound_at_scale():
-    # every split outside the carved window has L(t) < F, the floor the
-    # passes carve to, so none can win or tie; no split after the one
-    # where the uncounted scan stops beats the best length it saw; and the
-    # uncounted scan, the counted scan and the bit-parallel oracle agree
-    # on (length, split).  sigma 2, 4 and 20 at n = 2000 are the strings
-    # whose every split length
+    # every split outside the window, from its carved start to n - 1, has
+    # L(t) < F, the floor the passes carve to, so none can win or tie; no
+    # split after the one where the uncounted scan stops beats the best
+    # length it saw; and the uncounted scan, the counted scan and the
+    # bit-parallel oracle agree on (length, split).  sigma 2, 4 and 20 at
+    # n = 2000 are the strings whose every split length
     # test_every_split_length_at_thousands_of_letters checks
     rng = random.Random(83)
     strings = thousands_of_letters()[:3] + [
@@ -413,18 +417,20 @@ def test_window_end_closes_in_as_the_best_rises(monkeypatch):
     # steps every split
     assert uncounted_stop("ABCDEFG") == ((0, 0), 6)
     assert calls == []
-    # the best length reaches F but never passes it: the one call, with
-    # floor F + 1, runs no pass and leaves the end where it was
+    # the best length reaches F, 66, at split 101 and never passes it: the
+    # one call, with floor F + 1, runs two passes and pulls the end in
+    # from n - 1 to the winning split
     f = uniform(random.Random(13), 200, "ACGT")
     floor = tandem._Window(f).floor
-    last = window_reference(f, True)[1]
-    assert bitparallel_ltss(f)[0] == floor
-    assert uncounted_stop(f) == (bitparallel_ltss(f), last)
-    assert calls == [[floor, last, last, 0]]
-    assert stop_reference(f) == last
+    assert bitparallel_ltss(f) == (floor, 101) == (66, 101)
+    assert uncounted_stop(f) == ((66, 101), 101)
+    assert calls == [[66, 199, 101, 2]]
+    assert stop_reference(f) == 101
     # at sigma 256 the best length passes F six times, and the re-carves'
-    # passes pull the end in from 1358 to 1247, the winning split's
-    # neighbourhood; test_window_is_sound_at_scale checks the splits left
+    # passes pull the end in from n - 1 to 1337 on the first call and to
+    # 1247, the winning split's neighbourhood, by the last: the ends and
+    # pass counts that carve_reference gives from the DP oracle's bounds;
+    # test_window_is_sound_at_scale checks the splits left
     calls.clear()
     f = recarved_at_sigma_256()
     floor = tandem._Window(f).floor
@@ -433,7 +439,11 @@ def test_window_end_closes_in_as_the_best_rises(monkeypatch):
     assert answer == (max(lengths), lengths.index(max(lengths)))
     assert [best for best, _, _, _ in calls] == list(range(floor,
                                                            answer[0] + 1))
-    assert (calls[0][1], stop) == (1358, 1247)
+    assert stop == 1247
+    assert calls == [[142, 2499, 1337, 10], [143, 1337, 1325, 1],
+                     [144, 1325, 1324, 1], [145, 1324, 1320, 1],
+                     [146, 1320, 1272, 2], [147, 1272, 1247, 2],
+                     [148, 1247, 1247, 0]]
     assert all(before >= after for _, before, after, _ in calls)
     assert sum(passes for _, _, _, passes in calls) > 0
 
@@ -638,6 +648,18 @@ def test_compute_ltss_accepts_str_only(monkeypatch):
     for f in (["ab", "cd", "ab", "cd"], (1, 2, 1, 2)):
         with pytest.raises(TypeError, match="expects a str"):
             compute_ltss(f)
+
+
+def test_split_tandems_accepts_str_only(monkeypatch):
+    # a list or a tuple would get as far as the split's positional levels
+    # and fail only when joining the witness; no index is built for it
+    def no_index(*args, **kwargs):
+        raise AssertionError("indexed a rejected input")
+    monkeypatch.setattr(tandem, "MatchIndex", no_index)
+    for f, name in (([1, 2, 1, 2], "list"), ((1, 2, 1, 2), "tuple")):
+        with pytest.raises(TypeError, match="^split_tandems expects a str, "
+                                            "got %s$" % name):
+            next(split_tandems(f, 2))
 
 
 def test_ltss_stats_scans_any_hashable_sequence():

@@ -134,8 +134,8 @@ def test_scan_sweep_smoke(tmp_path, monkeypatch, capsys):
     root = TOOLS.parent
     assert scan_sweep.main([str(root), str(root), "--rounds", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[0].split() == ["sigma", "n", "first", "stop", "ratio", "won",
-                               "reps", "agree"]
+    assert rows[0].split() == ["sigma", "n", "first", "stop", "passes",
+                               "ratio", "won", "reps", "agree"]
     assert [row.split()[:2] + row.split()[-1:] for row in rows[1:]] == \
         [["2", "40", "yes"], ["4", "60", "yes"]]
     broken = tmp_path / "src" / "ltss"

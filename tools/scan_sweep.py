@@ -13,8 +13,9 @@ round to round.  A timing repeats the scan until it spans about 50 ms,
 the same count on both sides.  Per row it prints the splits CHANGE's scan
 steps, as fractions of n: its first split, as CHANGE's `_Window` gives
 it, and the split where the scan stopped, counted as the drops its
-comparator made.  Then the median over the rounds of CHANGE's time
-over BASE's, the rounds CHANGE won, and whether both sides gave the same
+comparator made.  Next come the anchored bit-vector passes that scan ran,
+the floor's pass included.  Then the median over the rounds of CHANGE's
+time over BASE's, the rounds CHANGE won, and whether both sides gave the same
 (length, split).  The exit status is 1 if any row disagrees, else 0.
 Nothing is written into either checkout beyond the bytecode caches that
 importing it leaves.
@@ -54,11 +55,12 @@ def timed(tandem, f, repeats):
     return time.process_time() - start
 
 
-def stop_split(tandem, f):
-    """The split where the checkout's uncounted scan of f stops: a scan
-    drops one suffix letter per split it reaches."""
-    real = tandem.Comparator
-    drops = 0
+def scan_work(tandem, f):
+    """The split where the checkout's uncounted scan of f stops, as a scan
+    drops one suffix letter per split it reaches, and the anchored passes
+    it runs."""
+    real, real_lengths = tandem.Comparator, tandem._anchored_lengths
+    drops = passes = 0
 
     class Counting(real):
         def drop_front_of_s(self):
@@ -66,12 +68,17 @@ def stop_split(tandem, f):
             drops += 1
             real.drop_front_of_s(self)
 
-    tandem.Comparator = Counting
+    def anchored_lengths(*args):
+        nonlocal passes
+        passes += 1
+        return real_lengths(*args)
+
+    tandem.Comparator, tandem._anchored_lengths = Counting, anchored_lengths
     try:
         tandem._scan(f, counted=False)
     finally:
-        tandem.Comparator = real
-    return drops
+        tandem.Comparator, tandem._anchored_lengths = real, real_lengths
+    return drops, passes
 
 
 def main(argv=None):
@@ -84,8 +91,9 @@ def main(argv=None):
         parser.error("--rounds must be positive")
     sides = {"base": load_tandem(args.base, "_sweep_base"),
              "change": load_tandem(args.change, "_sweep_change")}
-    print("%5s %5s %6s %6s %7s %6s %6s  %s" % (
-        "sigma", "n", "first", "stop", "ratio", "won", "reps", "agree"))
+    print("%5s %5s %6s %6s %6s %7s %6s %6s  %s" % (
+        "sigma", "n", "first", "stop", "passes", "ratio", "won", "reps",
+        "agree"))
     status = 0
     for sigma, n in GRID:
         rng = random.Random("%d/%d" % (sigma, n))
@@ -96,7 +104,7 @@ def main(argv=None):
         agree = answers["base"] == answers["change"]
         status |= not agree
         first = sides["change"]._Window(f).first
-        stop = stop_split(sides["change"], f)
+        stop, passes = scan_work(sides["change"], f)
         repeats = max(1, round(TARGET_S / max(
             timed(sides["base"], f, 1), 1e-6)))
         ratios = []
@@ -104,8 +112,8 @@ def main(argv=None):
             order = ("base", "change") if r % 2 == 0 else ("change", "base")
             took = {side: timed(sides[side], f, repeats) for side in order}
             ratios.append(took["change"] / max(took["base"], 1e-9))
-        print("%5d %5d %6.3f %6.3f %7.3f %6s %6d  %s" % (
-            sigma, n, first / n, stop / n, statistics.median(ratios),
+        print("%5d %5d %6.3f %6.3f %6d %7.3f %6s %6d  %s" % (
+            sigma, n, first / n, stop / n, passes, statistics.median(ratios),
             "%d/%d" % (sum(x < 1 for x in ratios), len(ratios)), repeats,
             "yes" if agree else "NO %s %s" % (answers["base"],
                                                answers["change"])),
