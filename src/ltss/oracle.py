@@ -1,12 +1,13 @@
 """Brute-force references for differential testing.
 
 Nothing here shares code with the fast path: quadratic DP for common
-subsequences, two independent LIS lengths (quadratic and patience), an
-exhaustive LIS enumerator, a cubic split scan for tandems, a bit-parallel
-length of every split and the tandem scan over it, for strings thousands
-of letters long, the classical stack-based threshold construction, and a
-tandem witness checker.  The exhaustive routines refuse inputs past their
-guards instead of silently taking forever.
+subsequences and path counts over it, two independent LIS lengths
+(quadratic and patience), an exhaustive LIS enumerator, a cubic split
+scan for tandems, a bit-parallel length of every split and the tandem scan
+over it, for strings thousands of letters long, the classical stack-based
+threshold construction, and a tandem witness checker.  The exhaustive
+routines refuse inputs past their guards instead of silently taking
+forever.
 """
 
 from bisect import bisect_left
@@ -114,6 +115,31 @@ def naive_all_lis(values):
 
     extend(0, None, [])
     return out
+
+
+def count_lcs_chains(p, s):
+    """Number of maximum-length chains of match pairs (i, j), p[i] == s[j],
+    rising strictly in i and j, the empty chain counting as 1: the classical
+    path count over dp_lcss's table.  A cell's chains end at its match, if
+    any, after one of its diagonal cell's, or lie in the cell above or to
+    the left where that keeps the length, less those lying in both."""
+    d = dp_lcss(p, s)
+    count = [[1] * (len(s) + 1) for _ in range(len(p) + 1)]
+    for i, a in enumerate(p, 1):
+        for j, b in enumerate(s, 1):
+            k = d[i][j]
+            count[i][j] = ((d[i - 1][j] == k) * count[i - 1][j]
+                           + (d[i][j - 1] == k) * count[i][j - 1]
+                           + ((a == b) - (d[i - 1][j - 1] == k))
+                           * count[i - 1][j - 1])
+    return count[-1][-1]
+
+
+def count_lis(values):
+    """Number of longest strictly increasing subsequences of values, told
+    apart by position, the empty one counting as 1: each is a longest chain
+    of match pairs with the sorted distinct values, counted in O(n^2)."""
+    return count_lcs_chains(values, sorted(set(values)))
 
 
 def naive_ltss(f):

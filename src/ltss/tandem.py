@@ -10,19 +10,10 @@ witness from solve, whose walk an enumerating caller continues.  _scan
 alone picks the levels it drives, from whether its caller reads counters:
 ThresholdLevels counts the scan's work into a RunStats, and that scan
 steps every split.  UncountedLevels counts nothing and gives none, and
-its scan steps only the splits that can still win.  L(t) is at most B(t),
-the sum over letters of the lesser of their counts on each side, and it
-moves by at most 1 per step.  F, the exact L at B's earliest maximum,
-floors the answer, and for t >= a, L(t) <= LCS(f[:t], f[a:]), which one
-bit-vector pass anchored at a gives.  A chain of such passes, each
-skipping at most F splits and run only while those splits outweigh it,
-moves the window's start to the first split whose bounds reach F; the
-passes over one direction of f share one set of letter masks, which each
-shifts by its anchor.  The end starts at n - 1, and only the scan's best
-length lam moves it: once lam reaches F, a later split matters only if
-its L reaches lam + 1, so the chain over the reversed string pulls the
-end in with that floor.  No split left out can win, so the length and
-split, which still come from the levels, are those of a full scan.
+its scan steps only the splits of a _Window, those that can still win.
+Each of the window's bit-vector passes runs in a _Chain, which keeps its
+string's letter masks from its lowest anchor so far on and shifts them
+for a pass anchored higher.
 """
 
 import time
@@ -71,9 +62,8 @@ def _scan(f, counted):
     """Run the split scan and return (best_len, best_split, RunStats).
     Its comparator drives ThresholdLevels if counted, and steps every
     split.  Else it drives UncountedLevels, steps only the splits of
-    window = _Window(f), and the RunStats is None: each new best length
-    lam >= window.floor lets window.narrow pull the window's end, n - 1 at
-    first, in to the last split that may still reach lam + 1."""
+    window = _Window(f), calling window.narrow on each new best length
+    lam >= window.floor, and the RunStats is None."""
     start = time.perf_counter()
     window = None if counted else _Window(f)
     comp = _comparator_at(f, 0 if counted else window.first - 1,
@@ -111,11 +101,15 @@ def _scan(f, counted):
 
 class _Window:
     """The splits an uncounted scan steps, first to last within [1, n - 1];
-    iterating yields them, reading last afresh at every step.  A split
-    whose L falls below F = floor = L(t*), for B's earliest maximum t*,
-    can neither win nor tie.  The chain over f gives first.  last starts
-    at n - 1, and only narrow moves it, through the chain over the
-    reversed string, whose split a is split n - a here."""
+    iterating yields them, reading last afresh at every step.  L(t) is at
+    most B(t), the sum over letters of the lesser of their counts on each
+    side, and for t >= a at most LCS(f[:t], f[a:]), one bit-vector pass's
+    bound.  The chain of passes over f gives F = floor = L(t*), for B's
+    earliest maximum t*, then first, carved with floor F: no split whose L
+    is below F can win or tie.  last starts at n - 1, and only narrow
+    moves it, with floor lam + 1 once the best length lam reaches F,
+    through the chain over the reversed string, whose split a is split
+    n - a here.  So the length and split are those of a full scan."""
 
     def __init__(self, f):
         n = len(f)
@@ -130,12 +124,13 @@ class _Window:
             slack[letter] = s - 2
             bounds.append(bounds[-1] + (s > 0) - (s < 0))
         top = bounds.index(max(bounds))
-        self.floor = floor = next(_anchored_lengths(f, top, _masks(f[top:])))
         # the step at split t works on about t (n - t) S / n^2 live matches,
         # S the sum of squared letter counts; a pass costs about _PASS_COST n
         squares = sum(c * c for c in counts.values())
         limit = _PASS_COST * n ** 3 // max(1, squares)
-        self.first = _Chain(f, bounds, limit).carve(1, floor, floor, n)
+        left = _Chain(f, bounds, limit)
+        self.floor = floor = next(left.lengths(top))
+        self.first = left.carve(1, floor, n)
         self.right = _Chain(f[::-1], bounds[::-1], limit)
         self.last = n - 1
 
@@ -147,71 +142,67 @@ class _Window:
 
     def narrow(self, best, t):
         """Pull last in, never below the split t just stepped, to the last
-        split whose bounds may still reach best + 1: no later split can
-        beat best.  The reversed chain goes on from last, n - 1 before
-        the first call, and its first pass may skip best + 1 splits, or
-        the last - t left if fewer, in place of the last pass's skip."""
+        split whose bounds may still reach best + 1, so that no later split
+        can beat best: the reversed chain goes on from last."""
         n = len(self.right.f)
-        self.last = n - self.right.carve(n - self.last, best + 1,
-                                         min(best + 1, self.last - t), n - t)
+        self.last = n - self.right.carve(n - self.last, best + 1, n - t)
 
 class _Chain:
-    """A chain of anchored passes over one direction of f, with bounds the
-    B(t) of that direction; its passes share one set of letter masks,
-    built on the first pass."""
+    """Anchored passes over one direction of f, with bounds the B(t) of
+    that direction.  It keeps the letter masks of f[base:], base its
+    lowest anchor so far (n before any pass): a pass anchored below base
+    builds them afresh, and one above shifts them right by anchor - base."""
 
     def __init__(self, f, bounds, limit):
         self.f = f
         self.bounds = bounds
         self.limit = limit
-        self.masks = None
+        self.base = len(f)
+        self.masks = {}
 
-    def carve(self, a, floor, skipped, stop):
+    def lengths(self, anchor):
+        """Yield LCS(f[:t], f[anchor:]) for t = anchor, ..., n: L(anchor)
+        first, then a bound on each later L(t).  One Allison-Dix / Hyyro
+        bit-vector LCS pass on Python ints: bit j of row is cleared where
+        the DP row steps up at column j + 1 of f[anchor:]."""
+        f = self.f
+        if anchor < self.base:
+            masks = {}
+            for j, letter in enumerate(f[anchor:]):
+                masks[letter] = masks.get(letter, 0) | 1 << j
+            self.base, self.masks = anchor, masks
+        shift = anchor - self.base
+        masks = ({letter: mask >> shift for letter, mask in self.masks.items()}
+                 if shift else self.masks)
+        width = len(f) - anchor
+        row = full = (1 << width) - 1
+        for t, letter in enumerate(f):
+            if t >= anchor:
+                yield width - row.bit_count()
+            hits = row & masks.get(letter, 0)
+            row = ((row + hits) | (row - hits)) & full
+        yield width - row.bit_count()
+
+    def carve(self, a, floor, stop):
         """The first split from a on, stop at the most, whose B and whose
-        anchored bounds both reach floor.  For t >= a, L(t) <= LCS(f[:t],
-        f[a:]), as f[t:] is a suffix of f[a:], and the next pass anchors
-        where B and that bound both reach floor.  LCS(f[:t], f[a:]) >=
-        t - a, so a pass skips at most floor splits, and fewer as the chain
-        closes in: one runs only while skipped a (n - a) > limit, skipped
-        becoming the splits the last pass skipped."""
+        anchored bounds both reach floor: each pass is anchored where the
+        last pass's bound and B first both reached it.  LCS(f[:t], f[a:])
+        >= t - a, so a pass skips at most floor splits, and fewer as the
+        chain closes in: one runs only while skipped a (n - a) > limit,
+        skipped being min(floor, stop - a), then what the last one skipped."""
         f, bounds = self.f, self.bounds
         n = len(f)
+        skipped = min(floor, stop - a)
         while a < stop and bounds[a] < floor:
             a += 1
         while a < stop and skipped * a * (n - a) > self.limit:
-            if self.masks is None:
-                self.masks = _masks(f)
-            masks = {letter: mask >> a for letter, mask in self.masks.items()}
-            for t, length in enumerate(_anchored_lengths(f, a, masks), a):
+            for t, length in enumerate(self.lengths(a), a):
                 if length >= floor and bounds[t] >= floor:
                     break
             if t == a:
                 break
             a, skipped = min(t, stop), t - a
         return a
-
-def _masks(f):
-    """Letter masks of f: bit j of a letter's mask is set where f[j] is
-    that letter."""
-    masks = {}
-    for j, letter in enumerate(f):
-        masks[letter] = masks.get(letter, 0) | 1 << j
-    return masks
-
-def _anchored_lengths(f, anchor, masks):
-    """Yield LCS(f[:t], f[anchor:]) for t = anchor, ..., n: L(anchor)
-    first, then a bound on each later L(t), given masks, the _masks of
-    f[anchor:].  One Allison-Dix / Hyyro bit-vector LCS pass on Python
-    ints: bit j of row is cleared where the DP row steps up at column
-    j + 1 of f[anchor:]."""
-    width = len(f) - anchor
-    row = full = (1 << width) - 1
-    for t, letter in enumerate(f):
-        if t >= anchor:
-            yield width - row.bit_count()
-        hits = row & masks.get(letter, 0)
-        row = ((row + hits) | (row - hits)) & full
-    yield width - row.bit_count()
 
 def _comparator_at(f, split, ts):
     """A Comparator over f driving the empty levels ts, brought to

@@ -19,7 +19,7 @@ from ltss import dynamic_lis
 from ltss.dynamic_lis import (INF, Counters, ThresholdLevels,
                                ThresholdStructure, UncountedLevels,
                                positional_levels, walk_lis)
-from ltss.oracle import (naive_all_lis, naive_lis, patience_lis,
+from ltss.oracle import (count_lis, naive_all_lis, naive_lis, patience_lis,
                          threshold_stacks)
 from ltss.tandem import split_levels
 
@@ -543,6 +543,53 @@ def test_all_lis_matches_exhaustive_enumeration():
             assert all(a < b for a, b in zip(vs, vs[1:]))
         assert {tuple(p for _, p in seq) for seq in got} == \
             naive_all_lis(values)
+
+
+def test_all_lis_walks_every_lis_after_extracts():
+    # after every operation of a random append / extract trace, all_lis
+    # yields each longest increasing subsequence of the surviving values
+    # once: as many distinct position tuples as oracle.count_lis counts
+    rng = random.Random(101)
+    largest = 0
+    for _ in range(150):
+        ts = ThresholdStructure()
+        shadow = []
+        for op in random_ops(rng, rng.randint(1, 60), rng.choice((4, 15))):
+            if op == "x":
+                if not ts.size:
+                    continue
+                ts.extract_min()
+                drop_min(shadow)
+            else:
+                ts.append(op)
+                shadow.append(op)
+            got = list(ts.all_lis())
+            assert len({tuple(p for _, p in seq) for seq in got}) == \
+                len(got) == count_lis(shadow)
+            assert all(len(seq) == ts.lis_length for seq in got)
+            largest = max(largest, len(got))
+    # the largest state has 153 of them
+    assert largest >= 100
+
+
+def test_lis_walk_is_complete():
+    # the walk that `ltss lis` runs, over positional levels of runs of
+    # one, yields each longest increasing subsequence of the values once
+    rng = random.Random(103)
+    largest = 0
+    for _ in range(300):
+        values = [rng.randint(1, rng.choice((3, 10, 30)))
+                  for _ in range(rng.randint(0, 60))]
+        walk = [(tuple(tags), tuple(vals)) for _, tags, vals in
+                walk_lis(positional_levels(enumerate(zip(values), 1)))]
+        assert len(set(walk)) == len(walk) == count_lis(values)
+        assert all(vals == tuple(values[p - 1] for p in tags)
+                   and all(map(int.__lt__, vals, vals[1:]))
+                   and all(map(int.__lt__, tags, tags[1:]))
+                   for tags, vals in walk)
+        largest = max(largest, len(walk))
+    # the largest list has 887 of them
+    assert largest >= 500
 
 
 @pytest.mark.parametrize("scale", [lambda k: k / 2, lambda k: Fraction(k, 3)],

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltss.oracle import (bitparallel_ltss, dp_lcss, lcss_length,
-                         naive_all_lis, naive_lis, naive_ltss, patience_lis,
-                         split_lengths, threshold_stacks, validate_tandem)
+from ltss.oracle import (bitparallel_ltss, count_lcs_chains, count_lis,
+                         dp_lcss, lcss_length, naive_all_lis, naive_lis,
+                         naive_ltss, patience_lis, split_lengths,
+                         threshold_stacks, validate_tandem)
 from ltss.tandem import LtssResult
 
 from helpers import WORKED_STREAM
@@ -69,6 +70,44 @@ def test_naive_all_lis_hand_cases():
 def test_naive_all_lis_guard():
     with pytest.raises(ValueError):
         naive_all_lis([1] * 21)
+
+
+def lcs_chains_by_search(p, s):
+    """The maximum-length chains of match pairs of p and s, counted by a
+    depth-first search over every chain that strictly rises in both;
+    the empty chain when no letter matches."""
+    target = lcss_length(p, s)
+
+    def chains(i, j, depth):
+        if depth == target:
+            return 1
+        return sum(chains(k, m, depth + 1) for k in range(i + 1, len(p))
+                   for m in range(j + 1, len(s)) if p[k] == s[m])
+
+    return chains(-1, -1, 0)
+
+
+def test_count_lcs_chains_hand_cases():
+    assert count_lcs_chains("", "") == count_lcs_chains("AB", "CD") == 1
+    assert count_lcs_chains("AA", "A") == 2
+    assert count_lcs_chains("AB", "BA") == 2
+    assert count_lcs_chains("ABAB", "ABAB") == 1
+    assert count_lcs_chains("AAB", "AAAB") == 3
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ABC", max_size=7), st.text(alphabet="ABC",
+                                                    max_size=7))
+def test_count_lcs_chains_counts_every_chain(p, s):
+    assert count_lcs_chains(p, s) == lcs_chains_by_search(p, s)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 6), max_size=12))
+def test_count_lis_counts_every_lis(values):
+    # the exhaustive enumerator gives no sequence for an empty list, whose
+    # one longest increasing subsequence is the empty one
+    assert count_lis(values) == max(1, len(naive_all_lis(values)))
 
 
 def test_naive_ltss_examples():

@@ -16,8 +16,8 @@ import pytest
 from ltss import string_compare, tandem
 from ltss.dynamic_lis import (ThresholdLevels, ThresholdStructure,
                               UncountedLevels)
-from ltss.oracle import (bitparallel_ltss, dp_lcss, naive_ltss, split_lengths,
-                         validate_tandem)
+from ltss.oracle import (bitparallel_ltss, count_lcs_chains, dp_lcss,
+                         naive_ltss, split_lengths, validate_tandem)
 from ltss.string_compare import Comparator
 from ltss.tandem import (LtssResult, compute_ltss, ltss_stats, replay_split,
                          split_tandems)
@@ -159,8 +159,10 @@ def test_split_length_matches_oracle_at_every_split():
     # a pass anchored at a yields LCS(f[:t], f[a:]) for t = a, ..., n; row
     # t of dp_lcss(f, f[a:]) ends in that length, as lcss_length(f[:t],
     # f[a:]) reads it, so one table per anchor covers every t; its first
-    # value, at t = a, is the split length L(a).  A chain's pass reads the
-    # masks of f shifted by its anchor, the floor pass those of f[a:]
+    # value, at t = a, is the split length L(a).  A chain keeps the masks
+    # of f[base:]: a pass anchored below base builds them from its anchor,
+    # one above shifts them, so falling anchors build on every call and
+    # rising ones once; a fresh chain's first pass is the floor's
     rng = random.Random(67)
     strings = ["", "A", "Z", "ABCDEFG", "GFEDCBA"] + [
         uniform(rng, rng.randint(0, 60),
@@ -169,13 +171,17 @@ def test_split_length_matches_oracle_at_every_split():
     strings.append([rng.randint(1, 5) for _ in range(40)])
     for f in strings:
         n = len(f)
-        masks = tandem._masks(f)
+        expected = [[row[-1] for row in dp_lcss(f, f[a:])[a:]]
+                    for a in range(n + 1)]
+        falling = tandem._Chain(f, None, 0)
+        for a in range(n, -1, -1):
+            assert list(falling.lengths(a)) == expected[a], (f, a)
+            assert falling.base == a
+        rising = tandem._Chain(f, None, 0)
         for a in range(n + 1):
-            table = dp_lcss(f, f[a:])
-            shifted = {letter: mask >> a for letter, mask in masks.items()}
-            assert list(tandem._anchored_lengths(f, a, shifted)) == \
-                [table[t][-1] for t in range(a, n + 1)], (f, a)
-        assert [next(tandem._anchored_lengths(f, t, tandem._masks(f[t:])))
+            assert list(rising.lengths(a)) == expected[a], (f, a)
+            assert rising.base == 0
+        assert [next(tandem._Chain(f, None, 0).lengths(t))
                 for t in range(n + 1)] == split_lengths(f), f
 
 
@@ -399,20 +405,20 @@ def test_window_end_closes_in_as_the_best_rises(monkeypatch):
     # it runs anchored passes only where they pay
     calls = []
     real_narrow = tandem._Window.narrow
-    real_lengths = tandem._anchored_lengths
+    real_lengths = tandem._Chain.lengths
 
     def narrow(self, best, t):
         calls.append([best, self.last, None, 0])
         real_narrow(self, best, t)
         calls[-1][2] = self.last
 
-    def anchored_lengths(f, anchor, masks):
+    def lengths(chain, anchor):
         if calls:
             calls[-1][-1] += 1
-        return real_lengths(f, anchor, masks)
+        return real_lengths(chain, anchor)
 
     monkeypatch.setattr(tandem._Window, "narrow", narrow)
-    monkeypatch.setattr(tandem, "_anchored_lengths", anchored_lengths)
+    monkeypatch.setattr(tandem._Chain, "lengths", lengths)
     # no letter repeats: F = 0, the best length never rises and the scan
     # steps every split
     assert uncounted_stop("ABCDEFG") == ((0, 0), 6)
@@ -557,6 +563,39 @@ def test_split_tandems_follow_scan_enumeration():
         assert got == expected
         assert got[0] == (res.witness, res.first_occurrence,
                           res.second_occurrence)
+
+
+def full_walk_count(f):
+    """Walk split_tandems in full at compute_ltss's split, and return its
+    item count: the count of maximum-length chains of match pairs of
+    f[:split] over f[split:] that oracle.count_lcs_chains gives, no
+    occurrence pair twice, every item a valid tandem, the first the
+    reported witness."""
+    res = compute_ltss(f)
+    split = res.split_index
+    items = [LtssResult(res.length, split, *item)
+             for item in split_tandems(f, split)]
+    assert len(items) == count_lcs_chains(f[:split], f[split:]), f
+    assert len({(tuple(item.first_occurrence), tuple(item.second_occurrence))
+                for item in items}) == len(items), f
+    assert all(validate_tandem(f, item) for item in items), f
+    assert items[0] == res, f
+    return len(items)
+
+
+def test_split_walks_are_complete():
+    # a full walk at the winning split lists every maximal tandem there
+    # exactly once: on every binary string up to 10 letters, and on
+    # near-tandem x + mutate(x) strings of 600 to 2000 letters
+    for n in range(11):
+        for letters in itertools.product("AB", repeat=n):
+            full_walk_count("".join(letters))
+    rng = random.Random(97)
+    counts = []
+    for n in (600, 1000, 2000):
+        x = uniform(rng, n // 2, "ACGT")
+        counts.append(full_walk_count(x + mutate(rng, x, 0.01, "ACGT")))
+    assert counts == [6, 24, 96]
 
 
 def test_split_tandems_single_letter_witnesses():

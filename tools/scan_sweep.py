@@ -14,8 +14,9 @@ the same count on both sides.  Per row it prints the splits CHANGE's scan
 steps, as fractions of n: its first split, as CHANGE's `_Window` gives
 it, and the split where the scan stopped, counted as the drops its
 comparator made.  Next come the anchored bit-vector passes that scan ran,
-the floor's pass included.  Then the median over the rounds of CHANGE's
-time over BASE's, the rounds CHANGE won, and whether both sides gave the same
+the floor's pass included, counted by wrapping `tandem._Chain.lengths`,
+which runs every one.  Then the median over the rounds of CHANGE's time
+over BASE's, the rounds CHANGE won, and whether both sides gave the same
 (length, split).  The exit status is 1 if any row disagrees, else 0.
 Nothing is written into either checkout beyond the bytecode caches that
 importing it leaves.
@@ -58,8 +59,8 @@ def timed(tandem, f, repeats):
 def scan_work(tandem, f):
     """The split where the checkout's uncounted scan of f stops, as a scan
     drops one suffix letter per split it reaches, and the anchored passes
-    it runs."""
-    real, real_lengths = tandem.Comparator, tandem._anchored_lengths
+    it runs, counted by wrapping `_Chain.lengths`, which runs each one."""
+    real, real_lengths = tandem.Comparator, tandem._Chain.lengths
     drops = passes = 0
 
     class Counting(real):
@@ -68,16 +69,16 @@ def scan_work(tandem, f):
             drops += 1
             real.drop_front_of_s(self)
 
-    def anchored_lengths(*args):
+    def lengths(chain, anchor):
         nonlocal passes
         passes += 1
-        return real_lengths(*args)
+        return real_lengths(chain, anchor)
 
-    tandem.Comparator, tandem._anchored_lengths = Counting, anchored_lengths
+    tandem.Comparator, tandem._Chain.lengths = Counting, lengths
     try:
         tandem._scan(f, counted=False)
     finally:
-        tandem.Comparator, tandem._anchored_lengths = real, real_lengths
+        tandem.Comparator, tandem._Chain.lengths = real, real_lengths
     return drops, passes
 
 
